@@ -45,6 +45,7 @@
 #include "serve/pool.hpp"
 #include "transport/host.hpp"
 #include "transport/worker.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -110,6 +111,24 @@ BenchEntry time_scenario(std::string name, std::size_t ops, Fn&& fn) {
     if (rep == 0 || cal < entry.cal_ns_per_op) entry.cal_ns_per_op = cal;
   }
   return entry;
+}
+
+/// Median over interleaved ABAB pairs of time(a) / time(b).
+template <typename FnA, typename FnB>
+double paired_median_ratio(FnA&& a, FnB&& b, int pairs = 15) {
+  const auto time_ns = [](auto&& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double, std::nano>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  std::vector<double> ratios;
+  for (int pair = 0; pair < pairs; ++pair) {
+    const double a_ns = time_ns(a);
+    ratios.push_back(a_ns / time_ns(b));
+  }
+  return percentile(std::move(ratios), 0.5);
 }
 
 nn::FeedForwardNetwork bench_net(Rng& rng, std::size_t width,
@@ -202,7 +221,26 @@ BenchFile measure() {
     sparse_entry.checksum = sparse_checksum;
     WNF_ASSERT(sparse_checksum == dense_checksum &&
                "CSR and dense kernels must agree bit for bit");
-    WNF_ASSERT(sparse_entry.ns_per_op < dense_entry.ns_per_op &&
+    // The speed claim is a paired ratio, not two independent best-of-5
+    // rows: interleaved ABAB passes put drift and contention on both sides
+    // of every ratio, and the median ignores the odd descheduled pass. At
+    // density 0.2 the CSR path skips 80% of the multiply-adds but not the
+    // activation, so it is asserted at least kCsrMargin faster.
+    constexpr double kCsrMargin = 0.05;
+    double sparse_sum = 0.0;
+    double dense_sum = 0.0;
+    const double ratio = paired_median_ratio(
+        [&] {
+          for (const auto& x : workload) sparse_sum += sparse_net.evaluate(x);
+        },
+        [&] {
+          for (const auto& x : workload) dense_sum += dense_twin.evaluate(x);
+        });
+    WNF_ASSERT(sparse_sum == dense_sum);
+    std::printf("forward/dense_vs_sparse_matched_params: median sparse/dense "
+                "time ratio %.3f (asserted <= %.2f)\n",
+                ratio, 1.0 - kCsrMargin);
+    WNF_ASSERT(ratio <= 1.0 - kCsrMargin &&
                "the CSR path must beat the dense kernel at density 0.2");
     file.benches.push_back(std::move(dense_entry));
     file.benches.push_back(std::move(sparse_entry));

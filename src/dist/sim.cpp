@@ -7,19 +7,13 @@
 #include "util/contract.hpp"
 
 namespace wnf::dist {
-namespace {
-
-/// Assumption 1's channel: |transmitted| <= C; C <= 0 means unbounded.
-double channel(double value, double capacity) {
-  if (capacity <= 0.0) return value;
-  return std::clamp(value, -capacity, capacity);
-}
-
-}  // namespace
 
 NetworkSimulator::NetworkSimulator(const nn::FeedForwardNetwork& net,
                                    SimConfig config)
-    : net_(net), config_(config), widths_(net.layer_widths()) {
+    : net_(net),
+      config_(config),
+      channel_{config.capacity, true},
+      widths_(net.layer_widths()) {
   const std::size_t depth = net_.layer_count();
   latencies_.resize(depth);
   // Both history buffers carry one row per layer from the start so the
@@ -36,20 +30,63 @@ NetworkSimulator::NetworkSimulator(const nn::FeedForwardNetwork& net,
   sent_.reserve(max_width);
   arrival_.reserve(max_width);
   incoming_.reserve(max_width);
-  preact_.reserve(max_width);
   value_.reserve(max_width);
   fire_.reserve(max_width);
   order_.reserve(max_width);
 }
 
 SimResult NetworkSimulator::evaluate(std::span<const double> x) {
-  return run(x, full_wait_, ResetPolicy::kZero);
+  SimResult result;
+  run<1>(x, 0, full_wait_, ResetPolicy::kZero, {&result, 1});
+  return result;
 }
 
 SimResult NetworkSimulator::evaluate_boosted(
     std::span<const double> x, std::span<const std::size_t> wait_counts,
     ResetPolicy policy) {
-  return run(x, wait_counts, policy);
+  SimResult result;
+  run<1>(x, 0, wait_counts, policy, {&result, 1});
+  return result;
+}
+
+void NetworkSimulator::shape_lane_latencies() {
+  // Allocated on first lane use only: per-probe simulators (the serving
+  // replicas) never pay for a block's workspace.
+  lane_latencies_.resize(widths_.size());
+  for (std::size_t l = 0; l < widths_.size(); ++l) {
+    lane_latencies_[l].resize(widths_[l] * kLanes, 0.0);
+  }
+}
+
+void NetworkSimulator::sample_lane_latencies(std::size_t lane,
+                                             const LatencyModel& model,
+                                             Rng& rng) {
+  WNF_EXPECTS(lane < kLanes);
+  model.sample_layers_into(widths_, rng, latencies_);
+  shape_lane_latencies();
+  for (std::size_t l = 0; l < widths_.size(); ++l) {
+    for (std::size_t j = 0; j < widths_[l]; ++j) {
+      lane_latencies_[l][j * kLanes + lane] = latencies_[l][j];
+    }
+  }
+}
+
+void NetworkSimulator::evaluate_lanes(
+    std::span<const std::vector<double>> probes,
+    std::span<const std::size_t> wait_counts, std::span<SimResult> results) {
+  WNF_EXPECTS(!probes.empty() && probes.size() <= kLanes);
+  WNF_EXPECTS(results.size() == probes.size());
+  lane_input_.resize(net_.input_dim() * kLanes);
+  gather_lanes(probes, net_.input_dim(), lane_input_);
+  shape_lane_latencies();
+  lane_results_.resize(kLanes);
+  run<kLanes>(lane_input_, probes.size() - 1,
+              wait_counts.empty() ? std::span<const std::size_t>(full_wait_)
+                                  : wait_counts,
+              ResetPolicy::kZero, lane_results_);
+  for (std::size_t b = 0; b < probes.size(); ++b) {
+    results[b] = std::move(lane_results_[b]);
+  }
 }
 
 void NetworkSimulator::set_latencies(
@@ -81,56 +118,67 @@ void NetworkSimulator::reset_history() {
   has_history_ = false;
 }
 
-double NetworkSimulator::cut_stragglers(std::size_t wait_count,
-                                        std::size_t receivers,
-                                        const std::vector<double>* history_row,
-                                        ResetPolicy policy, SimResult& result,
-                                        const std::vector<double>** inputs) {
-  const std::size_t fan_in = sent_.size();
+template <std::size_t Lanes>
+const std::vector<double>* NetworkSimulator::cut_stragglers(
+    std::size_t wait_count, std::size_t receivers,
+    const std::vector<double>* history_row, ResetPolicy policy,
+    std::span<SimResult> results, double* barriers) {
+  const std::size_t fan_in = sent_.size() / Lanes;
   const std::size_t wait = std::min(wait_count, fan_in);
-  double barrier = 0.0;
+  std::fill(barriers, barriers + Lanes, 0.0);
   if (wait >= fan_in) {
-    for (const double t : arrival_) barrier = std::max(barrier, t);
-    *inputs = &sent_;
-    return barrier;
+    for (std::size_t i = 0; i < fan_in; ++i) {
+      for (std::size_t b = 0; b < Lanes; ++b) {
+        barriers[b] = std::max(barriers[b], arrival_[i * Lanes + b]);
+      }
+    }
+    return &sent_;
   }
   // Every receiver hears the same senders at the same times, so they share
-  // one wait set: the `wait` earliest arrivals (ties broken by sender
-  // index). Stragglers past the cut are reset.
-  order_.resize(fan_in);
-  std::iota(order_.begin(), order_.end(), 0);
-  std::stable_sort(order_.begin(), order_.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return arrival_[a] < arrival_[b];
-                   });
+  // one wait set per lane: the `wait` earliest arrivals (ties broken by
+  // sender index). Stragglers past the cut are reset.
   incoming_ = sent_;
-  for (std::size_t k = 0; k < wait; ++k) {
-    barrier = std::max(barrier, arrival_[order_[k]]);
-  }
-  for (std::size_t k = wait; k < fan_in; ++k) {
-    const std::size_t cut = order_[k];
-    double substitute = 0.0;  // Corollary 2: read the straggler as 0
-    if (policy == ResetPolicy::kHoldLast && has_history_ &&
-        history_row != nullptr) {
-      substitute = (*history_row)[cut];
+  order_.resize(fan_in);
+  for (std::size_t b = 0; b < Lanes; ++b) {
+    const auto arrival = [&](std::size_t i) { return arrival_[i * Lanes + b]; };
+    std::iota(order_.begin(), order_.end(), 0);
+    std::stable_sort(order_.begin(), order_.end(),
+                     [&](std::size_t a, std::size_t c) {
+                       return arrival(a) < arrival(c);
+                     });
+    for (std::size_t k = 0; k < wait; ++k) {
+      barriers[b] = std::max(barriers[b], arrival(order_[k]));
     }
-    incoming_[cut] = substitute;
+    for (std::size_t k = wait; k < fan_in; ++k) {
+      const std::size_t cut = order_[k];
+      double substitute = 0.0;  // Corollary 2: read the straggler as 0
+      if (policy == ResetPolicy::kHoldLast && has_history_ &&
+          history_row != nullptr) {
+        substitute = (*history_row)[cut];
+      }
+      incoming_[cut * Lanes + b] = substitute;
+    }
+    // Each receiver tells each straggler to stand down.
+    results[b].resets_sent += (fan_in - wait) * receivers;
   }
-  // Each receiver tells each straggler to stand down.
-  result.resets_sent += (fan_in - wait) * receivers;
-  *inputs = &incoming_;
-  return barrier;
+  return &incoming_;
 }
 
-SimResult NetworkSimulator::run(std::span<const double> x,
-                                std::span<const std::size_t> wait_counts,
-                                ResetPolicy policy) {
-  WNF_EXPECTS(x.size() == net_.input_dim());
+template <std::size_t Lanes>
+void NetworkSimulator::run(std::span<const double> x,
+                           std::size_t history_lane,
+                           std::span<const std::size_t> wait_counts,
+                           ResetPolicy policy, std::span<SimResult> results) {
+  WNF_EXPECTS(x.size() == net_.input_dim() * Lanes);
+  WNF_EXPECTS(Lanes == 1 || policy == ResetPolicy::kZero);
   const std::size_t depth = net_.layer_count();
   WNF_EXPECTS(wait_counts.size() == depth || wait_counts.size() == depth + 1);
 
-  SimResult result;
-  result.layer_fire_times.reserve(depth);
+  for (auto& result : results) {
+    result = SimResult{};
+    result.layer_fire_times.reserve(depth);
+  }
+  double barriers[Lanes];
 
   // State entering each round: what every sender of the previous set
   // transmitted and when it arrived. Input clients all arrive at t = 0.
@@ -138,99 +186,48 @@ SimResult NetworkSimulator::run(std::span<const double> x,
   arrival_.assign(x.size(), 0.0);
 
   for (std::size_t l = 1; l <= depth; ++l) {
-    const auto& layer = net_.layer(l);
-    const std::size_t width = layer.out_size();
+    const std::size_t width = widths_[l - 1];
     const std::vector<double>* hist =
         has_history_ && l >= 2 ? &history_[l - 2] : nullptr;
-    const std::vector<double>* inputs = nullptr;
-    const double barrier =
-        cut_stragglers(wait_counts[l - 1], width, hist, policy, result,
-                       &inputs);
+    const std::vector<double>* inputs = cut_stragglers<Lanes>(
+        wait_counts[l - 1], width, hist, policy, results, barriers);
 
-    // Pre-activations via the same affine kernel as the matrix path (sparse
-    // layers take the CSR route inside affine, so messages only travel along
-    // existing edges), then synapse faults exactly as Injector's
-    // pre_activation hook applies them. A topology carrying per-edge
-    // capacities switches to an explicit CSR loop that clamps what each edge
-    // delivers (receiver side, on top of the sender-side global C); with
-    // uniform non-binding capacities the loop accumulates term-for-term like
-    // gemv_csr, so the two paths are bit-identical.
-    preact_.resize(width);
-    const nn::LayerTopology* topo = layer.topology();
-    const bool edge_caps = topo != nullptr && topo->has_edge_capacities();
-    if (edge_caps) {
-      const auto row_ptr = topo->row_ptr();
-      const auto cols = topo->cols();
-      const auto caps = topo->edge_capacities();
-      const auto bias = layer.bias();
-      for (std::size_t j = 0; j < width; ++j) {
-        double sum = 0.0;
-        for (std::size_t e = row_ptr[j]; e < row_ptr[j + 1]; ++e) {
-          sum += layer.weights()(j, cols[e]) *
-                 channel((*inputs)[cols[e]], caps[e]);
-        }
-        preact_[j] = sum;
-        preact_[j] += bias[j];
-      }
-    } else {
-      layer.affine(*inputs, preact_);
-    }
-    for (const auto& fault : plan_.synapses) {
-      if (fault.layer != l) continue;
-      const double weight = layer.weights()(fault.to, fault.from);
-      if (fault.kind == fault::SynapseFaultKind::kCrash) {
-        // edge delivers nothing: subtract what it actually delivered
-        double delivered = (*inputs)[fault.from];
-        if (edge_caps) {
-          const std::size_t e = topo->edge_offset(fault.to, fault.from);
-          if (e != nn::LayerTopology::npos) {
-            delivered = channel(delivered, topo->edge_capacity(e));
-          }
-        }
-        preact_[fault.to] -= weight * delivered;
-      } else {
-        preact_[fault.to] += weight * fault.value;  // edge sends w*(y + value)
-      }
-    }
+    // The shared fault step: affine (messages travel only along existing
+    // edges; per-edge capacities clamp what each edge delivers), synapse
+    // faults, activation, neuron faults, the capacity-C channel.
+    value_.resize(width * Lanes);
+    fault::layer_step<Lanes>(net_, l, plan_, channel_, *inputs, value_);
 
-    // Fire: activation on the local clock, then neuron faults, then the
-    // capacity-C channel on every transmitted value.
-    value_.resize(width);
-    fire_.resize(width);
+    // Fire on the local clock. A crashed process is silent and delays
+    // nobody; a Byzantine one does not compute and fires at t = 0; a
+    // stuck-at neuron keeps the normal schedule.
+    const std::vector<double>& latency =
+        Lanes == 1 ? latencies_[l - 1] : lane_latencies_[l - 1];
+    fire_.resize(width * Lanes);
     for (std::size_t j = 0; j < width; ++j) {
-      value_[j] = net_.activation().value(preact_[j]);
-      fire_[j] = barrier + latencies_[l - 1][j];
+      for (std::size_t b = 0; b < Lanes; ++b) {
+        fire_[j * Lanes + b] = barriers[b] + latency[j * Lanes + b];
+      }
     }
     for (const auto& fault : plan_.neurons) {
-      if (fault.layer != l) continue;
-      switch (fault.kind) {
-        case fault::NeuronFaultKind::kCrash:
-          value_[fault.neuron] = 0.0;  // Definition 2: peers read 0
-          fire_[fault.neuron] = 0.0;   // a silent process delays nobody
-          break;
-        case fault::NeuronFaultKind::kByzantine:
-          // An attacker does not compute; it fires immediately. Under the
-          // perturbation convention it perturbs its own (possibly already
-          // damaged) value — messages carry no nominal trace.
-          value_[fault.neuron] =
-              plan_.convention ==
-                      theory::CapacityConvention::kPerturbationBound
-                  ? value_[fault.neuron] + fault.value
-                  : fault.value;
-          fire_[fault.neuron] = 0.0;
-          break;
-        case fault::NeuronFaultKind::kStuckAt:
-          value_[fault.neuron] = fault.value;  // frozen value, normal clock
-          break;
+      if (fault.layer != l || fault.kind == fault::NeuronFaultKind::kStuckAt) {
+        continue;
       }
+      std::fill_n(fire_.begin() + fault.neuron * Lanes, Lanes, 0.0);
     }
-    for (double& v : value_) v = channel(v, config_.capacity);
+    for (std::size_t b = 0; b < Lanes; ++b) {
+      double layer_fire = 0.0;
+      for (std::size_t j = 0; j < width; ++j) {
+        layer_fire = std::max(layer_fire, fire_[j * Lanes + b]);
+      }
+      results[b].layer_fire_times.push_back(layer_fire);
+    }
 
-    double layer_fire = 0.0;
-    for (const double t : fire_) layer_fire = std::max(layer_fire, t);
-    result.layer_fire_times.push_back(layer_fire);
-
-    history_next_[l - 1] = value_;
+    auto& history = history_next_[l - 1];
+    history.resize(width);
+    for (std::size_t j = 0; j < width; ++j) {
+      history[j] = value_[j * Lanes + history_lane];
+    }
     std::swap(sent_, value_);
     std::swap(arrival_, fire_);
   }
@@ -239,33 +236,22 @@ SimResult NetworkSimulator::run(std::span<const double> x,
   // top-layer cut is active (an (L+1)-th wait count), only for the earliest
   // senders, resetting the rest per `policy` — and sums the (L+1)-th
   // synapse set, which is part of the network and can fail.
-  const std::size_t out_wait =
-      wait_counts.size() == depth + 1 ? wait_counts[depth] : sent_.size();
+  const std::size_t out_wait = wait_counts.size() == depth + 1
+                                   ? wait_counts[depth]
+                                   : sent_.size() / Lanes;
   const std::vector<double>* out_hist =
       has_history_ && depth >= 1 ? &history_[depth - 1] : nullptr;
-  const std::vector<double>* out_inputs = nullptr;
-  const double out_barrier =
-      cut_stragglers(out_wait, 1, out_hist, policy, result, &out_inputs);
-
-  double out = dot({out_inputs->data(), out_inputs->size()},
-                   {net_.output_weights().data(),
-                    net_.output_weights().size()}) +
-               net_.output_bias();
-  for (const auto& fault : plan_.synapses) {
-    if (fault.layer != depth + 1) continue;
-    const double weight = net_.output_weights()[fault.from];
-    if (fault.kind == fault::SynapseFaultKind::kCrash) {
-      out -= weight * (*out_inputs)[fault.from];
-    } else {
-      out += weight * fault.value;
-    }
+  const std::vector<double>* out_inputs =
+      cut_stragglers<Lanes>(out_wait, 1, out_hist, policy, results, barriers);
+  double outputs[Lanes];
+  fault::output_step<Lanes>(net_, plan_, *out_inputs, outputs);
+  for (std::size_t b = 0; b < Lanes; ++b) {
+    results[b].output = outputs[b];
+    results[b].completion_time = barriers[b];
   }
-  result.output = out;
-  result.completion_time = out_barrier;
 
   std::swap(history_, history_next_);
   has_history_ = true;
-  return result;
 }
 
 }  // namespace wnf::dist

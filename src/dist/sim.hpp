@@ -7,9 +7,10 @@
 // non-positive capacity models the unbounded channels of Lemma 1's
 // impossibility regime).
 //
-// Faults follow fault::Injector semantics value-for-value so the analytic
-// path (matrix forward + hooks) and the systems path (messages + clocks)
-// can be cross-checked bit-for-bit:
+// Faults follow fault::Injector semantics value-for-value -- both paths run
+// the same fault layer step (fault/layer_step.hpp) -- so the analytic path
+// (matrix forward) and the systems path (messages + clocks) can be
+// cross-checked bit-for-bit:
 //   - crashed neuron: peers read 0, available immediately
 //   - Byzantine neuron: fires at t = 0 with its planned value (clamped)
 //   - stuck-at neuron: normal schedule, frozen value
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "dist/latency.hpp"
+#include "fault/layer_step.hpp"
 #include "fault/plan.hpp"
 #include "nn/network.hpp"
 
@@ -97,6 +99,24 @@ class NetworkSimulator {
   /// for serving hot paths. Draw order matches sample_layers exactly.
   void sample_latencies(const LatencyModel& model, Rng& rng);
 
+  /// Draws lane `lane`'s per-neuron latencies (lane < kLanes) for the next
+  /// evaluate_lanes() from `model` -- the same draws, in the same order, as
+  /// sample_latencies(). A lane keeps its draw until redrawn; a lane never
+  /// drawn runs at zero latency.
+  void sample_lane_latencies(std::size_t lane, const LatencyModel& model,
+                             Rng& rng);
+
+  /// Across-probe block (tensor/ops.hpp): lane b evaluates probes[b] under
+  /// lane b's latencies, 1 <= probes.size() <= kLanes, with the Corollary-2
+  /// cut of `wait_counts` (as for evaluate_boosted; empty = full waits) and
+  /// kZero resets. results[b] equals, bit for bit, evaluate_boosted(
+  /// probes[b], wait_counts, kZero) run after setting lane b's latencies,
+  /// for b in order; the kHoldLast history afterwards is the last probe's,
+  /// as after those serial calls.
+  void evaluate_lanes(std::span<const std::vector<double>> probes,
+                      std::span<const std::size_t> wait_counts,
+                      std::span<SimResult> results);
+
   /// Installs `plan` (validated against the network) until clear_faults().
   void apply_faults(fault::FaultPlan plan);
   void clear_faults();
@@ -108,38 +128,51 @@ class NetworkSimulator {
   const SimConfig& config() const { return config_; }
 
  private:
-  SimResult run(std::span<const double> x,
-                std::span<const std::size_t> wait_counts, ResetPolicy policy);
+  /// One evaluation of Lanes probes: `x` is input_dim x Lanes, lane-major;
+  /// results[b] receives lane b's outcome and the history row is taken from
+  /// lane `history_lane`. Lanes > 1 requires kZero resets.
+  template <std::size_t Lanes>
+  void run(std::span<const double> x, std::size_t history_lane,
+           std::span<const std::size_t> wait_counts, ResetPolicy policy,
+           std::span<SimResult> results);
 
-  /// Shared wait set for every receiver hearing sent_/arrival_: keeps the
-  /// `wait_count` earliest senders, substitutes the stragglers per
-  /// `policy` (hold-last reads `history_row` when non-null), and charges
-  /// `receivers` reset messages per straggler. Returns the barrier time
-  /// (arrival of the last sender waited for) and points `inputs` at the
-  /// values the receivers actually read.
-  double cut_stragglers(std::size_t wait_count, std::size_t receivers,
-                        const std::vector<double>* history_row,
-                        ResetPolicy policy, SimResult& result,
-                        const std::vector<double>** inputs);
+  /// Sizes lane_latencies_ for a block (new entries read zero latency).
+  void shape_lane_latencies();
+
+  /// Shared wait set for every receiver hearing sent_/arrival_, per lane:
+  /// keeps the `wait_count` earliest senders, substitutes the stragglers
+  /// per `policy` (hold-last reads `history_row` when non-null), and charges
+  /// `receivers` reset messages per straggler. Writes each lane's barrier
+  /// time (arrival of the last sender waited for) and returns the values
+  /// the receivers actually read.
+  template <std::size_t Lanes>
+  const std::vector<double>* cut_stragglers(
+      std::size_t wait_count, std::size_t receivers,
+      const std::vector<double>* history_row, ResetPolicy policy,
+      std::span<SimResult> results, double* barriers);
 
   const nn::FeedForwardNetwork& net_;
   SimConfig config_;
+  fault::Channel channel_;                      ///< Assumption 1, per edge too
   std::vector<std::size_t> widths_;             ///< cached layer_widths()
   std::vector<std::size_t> full_wait_;          ///< evaluate()'s wait counts
   std::vector<std::vector<double>> latencies_;  ///< per layer, per neuron
+  std::vector<std::vector<double>> lane_latencies_;  ///< per layer, lane-major
   fault::FaultPlan plan_;
   std::vector<std::vector<double>> history_;  ///< last transmitted values
   bool has_history_ = false;
 
-  // Reused evaluation workspaces (sized once; no per-layer allocation).
+  // Reused evaluation workspaces, lane-major (one lane on the per-probe
+  // path); sized once per lane count, no per-layer allocation.
   std::vector<std::vector<double>> history_next_;
   std::vector<double> sent_;      ///< values the previous round transmitted
   std::vector<double> arrival_;   ///< when each of those values arrived
   std::vector<double> incoming_;  ///< sent_ with stragglers substituted
-  std::vector<double> preact_;    ///< s^(l) under construction
   std::vector<double> value_;     ///< y^(l) under construction
   std::vector<double> fire_;      ///< fire times under construction
   std::vector<std::size_t> order_;  ///< senders sorted by arrival
+  std::vector<double> lane_input_;        ///< evaluate_lanes' input block
+  std::vector<SimResult> lane_results_;   ///< evaluate_lanes' kLanes results
 };
 
 }  // namespace wnf::dist

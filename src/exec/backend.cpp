@@ -3,33 +3,51 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fault/injector.hpp"
 #include "util/contract.hpp"
 
 namespace wnf::exec {
 
+void nominal_outputs(const nn::FeedForwardNetwork& net,
+                     std::span<const std::vector<double>> probes,
+                     std::span<double> outputs) {
+  fault::Injector(net).nominal(probes, outputs);
+}
+
 void finish_trial(const nn::FeedForwardNetwork& net, const Trial& trial,
                   TrialResult& result) {
   WNF_ASSERT(result.probes.size() == trial.probes.size());
+  std::vector<double> clean(trial.probes.size());
+  nominal_outputs(net, trial.probes, clean);
   result.worst_error = 0.0;
   for (std::size_t i = 0; i < trial.probes.size(); ++i) {
-    const auto& x = trial.probes[i];
-    const double clean = net.evaluate({x.data(), x.size()});
     result.worst_error = std::max(result.worst_error,
-                                  std::fabs(clean - result.probes[i].output));
+                                  std::fabs(clean[i] - result.probes[i].output));
   }
 }
 
-double EvalBackend::worst_output_error(
-    const fault::FaultPlan& plan,
-    std::span<const std::vector<double>> probes) {
-  WNF_EXPECTS(!probes.empty());
+void EvalBackend::damaged_outputs(const fault::FaultPlan& plan,
+                                  std::span<const std::vector<double>> probes,
+                                  std::span<double> outputs) {
+  WNF_EXPECTS(outputs.size() == probes.size());
   install(plan);
-  double worst = 0.0;
-  for (const auto& x : probes) {
-    const double damaged = evaluate({x.data(), x.size()}).output;
-    worst = std::max(worst, std::fabs(nominal({x.data(), x.size()}) - damaged));
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    outputs[i] = evaluate(probes[i]).output;
   }
   clear();
+}
+
+double EvalBackend::worst_output_error(
+    const fault::FaultPlan& plan, std::span<const std::vector<double>> probes,
+    std::span<const double> nominal) {
+  WNF_EXPECTS(!probes.empty());
+  WNF_EXPECTS(nominal.size() == probes.size());
+  std::vector<double> damaged(probes.size());
+  damaged_outputs(plan, probes, damaged);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    worst = std::max(worst, std::fabs(nominal[i] - damaged[i]));
+  }
   return worst;
 }
 

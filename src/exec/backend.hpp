@@ -73,10 +73,20 @@ class EvalBackend {
     return network().evaluate(x);
   }
 
-  /// max over `probes` of |nominal - damaged| for `plan`. Installs the plan,
-  /// scores, and clears — the scoring primitive adversary searches use.
+  /// Damaged outputs of every probe under `plan` into `outputs` (same
+  /// size): installs the plan, evaluates the probes in order, and clears —
+  /// the scoring primitive adversary searches call once per candidate. The
+  /// base drives install/evaluate; the Injector and simulator override it
+  /// with across-probe blocks that return the same bits.
+  virtual void damaged_outputs(const fault::FaultPlan& plan,
+                               std::span<const std::vector<double>> probes,
+                               std::span<double> outputs);
+
+  /// max over `probes` of |nominal[i] - damaged_i| for `plan`, against
+  /// fault-free outputs computed once by the caller (nominal_outputs).
   double worst_output_error(const fault::FaultPlan& plan,
-                            std::span<const std::vector<double>> probes);
+                            std::span<const std::vector<double>> probes,
+                            std::span<const double> nominal);
 
   /// Runs every trial: installs its plan, evaluates its probes, computes the
   /// worst error. The base implementation drives install/evaluate
@@ -88,6 +98,12 @@ class EvalBackend {
   /// latency-independent — no straggler cut, or outputs compared only.
   virtual std::vector<TrialResult> run_trials(std::span<const Trial> trials);
 };
+
+/// Fault-free outputs of `probes` into `outputs` (same size) in
+/// across-probe blocks; each equals net.evaluate(probes[i]) bit for bit.
+void nominal_outputs(const nn::FeedForwardNetwork& net,
+                     std::span<const std::vector<double>> probes,
+                     std::span<double> outputs);
 
 /// Shared summarisation: fills `result.worst_error` from `result.probes`
 /// against the fault-free outputs of `trial.probes`.

@@ -22,20 +22,32 @@ ProbeResult InjectorBackend::evaluate(std::span<const double> x) {
   return {injector_.damaged(plan_, x), 0.0, 0};
 }
 
+void InjectorBackend::damaged_outputs(
+    const fault::FaultPlan& plan, std::span<const std::vector<double>> probes,
+    std::span<double> outputs) {
+  fault::validate_plan(plan, net_);
+  injector_.damaged(plan, probes, outputs);
+}
+
 std::vector<TrialResult> InjectorBackend::run_trials(
     std::span<const Trial> trials) {
+  // Validated up front, on the caller's thread: the lane path indexes lane
+  // buffers by the plan's neuron and synapse indices.
+  for (const Trial& trial : trials) fault::validate_plan(trial.plan, net_);
   std::vector<TrialResult> results(trials.size());
   parallel_for(0, trials.size(), [&](std::size_t t) {
     const Trial& trial = trials[t];
     fault::Injector injector(net_);  // Injectors are not thread-safe
-    results[t].probes.reserve(trial.probes.size());
+    const std::size_t n = trial.probes.size();
+    std::vector<double> clean(n);
+    std::vector<double> damaged(n);
+    injector.nominal(trial.probes, clean);
+    injector.damaged(trial.plan, trial.probes, damaged);
+    results[t].probes.resize(n);
     double worst = 0.0;
-    for (const auto& x : trial.probes) {
-      const double damaged = injector.damaged(trial.plan, {x.data(), x.size()});
-      worst = std::max(worst,
-                       std::fabs(injector.nominal({x.data(), x.size()}) -
-                                 damaged));
-      results[t].probes.push_back({damaged, 0.0, 0});
+    for (std::size_t i = 0; i < n; ++i) {
+      worst = std::max(worst, std::fabs(clean[i] - damaged[i]));
+      results[t].probes[i] = {damaged[i], 0.0, 0};
     }
     results[t].worst_error = worst;
   });

@@ -9,8 +9,9 @@
 namespace wnf::exec {
 
 /// Wraps one fault::Injector. run_trials parallelises over the thread pool
-/// with one Injector per in-flight trial, reproducing bit-for-bit what the
-/// pre-backend fault::run_campaign computed.
+/// with one Injector per in-flight trial and evaluates each trial's probes
+/// in across-probe blocks, reproducing bit-for-bit what the pre-backend
+/// fault::run_campaign computed. Every plan is validated before it runs.
 class InjectorBackend final : public EvalBackend {
  public:
   explicit InjectorBackend(const nn::FeedForwardNetwork& net);
@@ -20,6 +21,9 @@ class InjectorBackend final : public EvalBackend {
   void install(const fault::FaultPlan& plan) override;
   void clear() override;
   ProbeResult evaluate(std::span<const double> x) override;
+  void damaged_outputs(const fault::FaultPlan& plan,
+                       std::span<const std::vector<double>> probes,
+                       std::span<double> outputs) override;
   std::vector<TrialResult> run_trials(std::span<const Trial> trials) override;
 
  private:

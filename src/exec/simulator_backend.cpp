@@ -1,6 +1,7 @@
 #include "exec/simulator_backend.hpp"
 
 #include "dist/boosting.hpp"
+#include "tensor/ops.hpp"
 #include "util/contract.hpp"
 #include "util/thread_pool.hpp"
 
@@ -40,9 +41,61 @@ ProbeResult SimulatorBackend::run_probe(dist::NetworkSimulator& sim,
   return {result.output, result.completion_time, result.resets_sent};
 }
 
+template <class LatencyRng>
+void SimulatorBackend::run_probes(dist::NetworkSimulator& sim,
+                                  std::span<const std::vector<double>> probes,
+                                  LatencyRng&& latency_rng,
+                                  std::span<ProbeResult> out) const {
+  WNF_EXPECTS(out.size() == probes.size());
+  const auto single = [&](std::size_t i) {
+    out[i] = run_probe(sim, latency_rng(i), probes[i]);
+  };
+  if (options_.policy == dist::ResetPolicy::kHoldLast) {
+    for (std::size_t i = 0; i < probes.size(); ++i) single(i);
+    return;
+  }
+  std::vector<dist::SimResult> block(kLanes);
+  for_each_lane_block(
+      probes.size(),
+      [&](std::size_t begin, std::size_t count) {
+        for (std::size_t b = 0; b < count; ++b) {
+          sim.sample_lane_latencies(b, options_.latency,
+                                    latency_rng(begin + b));
+        }
+        sim.evaluate_lanes(probes.subspan(begin, count), wait_counts_,
+                           std::span(block).first(count));
+        for (std::size_t b = 0; b < count; ++b) {
+          out[begin + b] = {block[b].output, block[b].completion_time,
+                            block[b].resets_sent};
+        }
+      },
+      single);
+}
+
 ProbeResult SimulatorBackend::evaluate(std::span<const double> x) {
   Rng probe_rng = latency_root_.split();
   return run_probe(sim_, probe_rng, x);
+}
+
+void SimulatorBackend::damaged_outputs(
+    const fault::FaultPlan& plan, std::span<const std::vector<double>> probes,
+    std::span<double> outputs) {
+  WNF_EXPECTS(outputs.size() == probes.size());
+  install(plan);
+  // The serial path's draw: one split of the backend's stream per probe.
+  Rng probe_rng;
+  std::vector<ProbeResult> results(probes.size());
+  run_probes(
+      sim_, probes,
+      [&](std::size_t) -> Rng& {
+        probe_rng = latency_root_.split();
+        return probe_rng;
+      },
+      results);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    outputs[i] = results[i].output;
+  }
+  clear();
 }
 
 std::vector<TrialResult> SimulatorBackend::run_trials(
@@ -62,10 +115,10 @@ std::vector<TrialResult> SimulatorBackend::run_trials(
     dist::NetworkSimulator sim(net_, options_.sim);  // one per worker trial
     if (!trial.plan.empty()) sim.apply_faults(trial.plan);
     Rng rng = trial_rngs[t];
-    results[t].probes.reserve(trial.probes.size());
-    for (const auto& x : trial.probes) {
-      results[t].probes.push_back(run_probe(sim, rng, {x.data(), x.size()}));
-    }
+    results[t].probes.resize(trial.probes.size());
+    run_probes(
+        sim, trial.probes, [&](std::size_t) -> Rng& { return rng; },
+        results[t].probes);
     finish_trial(net_, trial, results[t]);
   });
   return results;

@@ -28,6 +28,11 @@ struct SimulatorBackendOptions {
 /// batched run_trials path precomputes one child stream per trial (the t-th
 /// split of latency_seed), so results are bit-identical whatever the thread
 /// scheduling. Outputs are latency-independent unless a cut is active.
+/// Both run_trials and damaged_outputs evaluate probes in across-probe
+/// blocks (NetworkSimulator::evaluate_lanes), drawing each lane's latencies
+/// in probe order, so they return what probe-by-probe evaluation would;
+/// under the kHoldLast policy each probe reads the previous probe's
+/// history, so those run probe by probe.
 class SimulatorBackend final : public EvalBackend {
  public:
   explicit SimulatorBackend(const nn::FeedForwardNetwork& net,
@@ -38,6 +43,9 @@ class SimulatorBackend final : public EvalBackend {
   void install(const fault::FaultPlan& plan) override;
   void clear() override;
   ProbeResult evaluate(std::span<const double> x) override;
+  void damaged_outputs(const fault::FaultPlan& plan,
+                       std::span<const std::vector<double>> probes,
+                       std::span<double> outputs) override;
   std::vector<TrialResult> run_trials(std::span<const Trial> trials) override;
 
   /// The serial-path simulator (e.g. to pin latencies for a bench).
@@ -47,6 +55,14 @@ class SimulatorBackend final : public EvalBackend {
  private:
   ProbeResult run_probe(dist::NetworkSimulator& sim, Rng& latency_rng,
                         std::span<const double> x) const;
+
+  /// Evaluates `probes` on `sim` into `out`, in across-probe blocks where
+  /// the policy allows; probe i's latencies come from latency_rng(i),
+  /// called once per probe in probe order.
+  template <class LatencyRng>
+  void run_probes(dist::NetworkSimulator& sim,
+                  std::span<const std::vector<double>> probes,
+                  LatencyRng&& latency_rng, std::span<ProbeResult> out) const;
 
   const nn::FeedForwardNetwork& net_;
   SimulatorBackendOptions options_;

@@ -198,6 +198,8 @@ FaultPlan exhaustive_worst_crash_plan(
 
   FaultPlan best_plan;
   worst_error = -1.0;
+  std::vector<double> nominal(probe_inputs.size());
+  exec::nominal_outputs(net, probe_inputs, nominal);
 
   // Lexicographic combination enumeration over victim subsets.
   std::vector<std::size_t> victims(f);
@@ -219,7 +221,8 @@ FaultPlan exhaustive_worst_crash_plan(
     for (std::size_t victim : victims) {
       plan.neurons.push_back({layer, victim, NeuronFaultKind::kCrash, 0.0});
     }
-    const double error = backend.worst_output_error(plan, probe_inputs);
+    const double error =
+        backend.worst_output_error(plan, probe_inputs, nominal);
     if (error > worst_error) {
       worst_error = error;
       best_plan = plan;
@@ -242,6 +245,9 @@ FaultPlan greedy_worst_crash_plan(
     std::span<const std::vector<double>> probes, exec::EvalBackend& backend) {
   WNF_EXPECTS(counts.size() == net.layer_count());
   WNF_EXPECTS(&backend.network() == &net);
+  // Every candidate is scored against the same fault-free outputs.
+  std::vector<double> nominal(probes.size());
+  exec::nominal_outputs(net, probes, nominal);
   FaultPlan plan;
   for (std::size_t l = 1; l <= net.layer_count(); ++l) {
     const std::size_t width = net.layer_width(l);
@@ -254,7 +260,7 @@ FaultPlan greedy_worst_crash_plan(
         if (killed[candidate]) continue;
         plan.neurons.push_back(
             {l, candidate, NeuronFaultKind::kCrash, 0.0});
-        const double error = backend.worst_output_error(plan, probes);
+        const double error = backend.worst_output_error(plan, probes, nominal);
         plan.neurons.pop_back();
         if (error > best_error) {
           best_error = error;

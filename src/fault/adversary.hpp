@@ -80,7 +80,8 @@ FaultPlan exhaustive_worst_crash_plan(
 /// Greedy worst-case crash search: kills, one at a time, the neuron whose
 /// crash currently increases the worst-case error most (over the probes,
 /// scored on `backend`). Cost O(total_faults * N * probes) instead of
-/// combinatorial.
+/// combinatorial. Both searches compute the probes' fault-free outputs once
+/// and score each candidate with EvalBackend::damaged_outputs.
 FaultPlan greedy_worst_crash_plan(const nn::FeedForwardNetwork& net,
                                   std::span<const std::size_t> counts,
                                   std::span<const std::vector<double>> probes,

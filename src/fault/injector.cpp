@@ -2,72 +2,92 @@
 
 #include <cmath>
 
+#include "fault/layer_step.hpp"
+#include "tensor/ops.hpp"
 #include "util/contract.hpp"
 
 namespace wnf::fault {
+namespace {
+
+const FaultPlan kNoFaults{};
+
+bool needs_nominal_trace(const FaultPlan& plan) {
+  return plan.has_byzantine_neurons() &&
+         plan.convention == theory::CapacityConvention::kPerturbationBound;
+}
+
+}  // namespace
 
 Injector::Injector(const nn::FeedForwardNetwork& net) : net_(net) {}
 
+template <std::size_t Lanes>
+void Injector::forward(const FaultPlan& plan, std::span<const double> x,
+                       std::span<double> out,
+                       const nn::ForwardTrace* nominal_trace) {
+  WNF_EXPECTS(x.size() == net_.input_dim() * Lanes);
+  current_.assign(x.begin(), x.end());
+  for (std::size_t l = 1; l <= net_.layer_count(); ++l) {
+    next_.resize(net_.layer_width(l) * Lanes);
+    std::span<const double> nominal;
+    // activations[l] is y^(l) (index 0 holds the input X).
+    if (nominal_trace != nullptr) nominal = nominal_trace->activations[l];
+    layer_step<Lanes>(net_, l, plan, Channel{}, current_, next_, nominal);
+    std::swap(current_, next_);
+  }
+  output_step<Lanes>(net_, plan, current_, out);
+}
+
 double Injector::nominal(std::span<const double> x) {
-  return net_.evaluate(x, workspace_);
+  double out = 0.0;
+  forward<1>(kNoFaults, x, {&out, 1}, nullptr);
+  return out;
 }
 
 double Injector::damaged(const FaultPlan& plan, std::span<const double> x) {
-  if (plan.empty()) return nominal(x);
-
   // Byzantine neuron perturbations are defined relative to the nominal
   // activations, so compute the clean trace first when needed.
   nn::ForwardTrace nominal_trace;
-  const bool needs_trace =
-      plan.has_byzantine_neurons() &&
-      plan.convention == theory::CapacityConvention::kPerturbationBound;
+  const bool needs_trace = needs_nominal_trace(plan);
   if (needs_trace) nominal_trace = net_.forward_trace(x);
+  double out = 0.0;
+  forward<1>(plan, x, {&out, 1}, needs_trace ? &nominal_trace : nullptr);
+  return out;
+}
 
-  nn::ForwardHooks hooks;
-  hooks.post_activation = [&](std::size_t l, std::span<double> y) {
-    for (const auto& fault : plan.neurons) {
-      if (fault.layer != l) continue;
-      switch (fault.kind) {
-        case NeuronFaultKind::kCrash:
-          y[fault.neuron] = 0.0;  // Definition 2: peers read 0
-          break;
-        case NeuronFaultKind::kByzantine:
-          if (plan.convention ==
-              theory::CapacityConvention::kPerturbationBound) {
-            // activations[l] is y^(l) (index 0 holds the input X).
-            y[fault.neuron] =
-                nominal_trace.activations[l][fault.neuron] + fault.value;
-          } else {
-            y[fault.neuron] = fault.value;
-          }
-          break;
-        case NeuronFaultKind::kStuckAt:
-          y[fault.neuron] = fault.value;  // frozen output
-          break;
-      }
-    }
-  };
-  hooks.pre_activation = [&](std::size_t l, std::span<const double> y_prev,
-                             std::span<double> s) {
-    for (const auto& fault : plan.synapses) {
-      if (fault.layer != l) continue;
-      const double weight =
-          l <= net_.layer_count()
-              ? net_.layer(l).weights()(fault.to, fault.from)
-              : net_.output_weights()[fault.from];
-      switch (fault.kind) {
-        case SynapseFaultKind::kCrash:
-          // Weight-0 view: remove the contribution this synapse delivered.
-          s[fault.to] -= weight * y_prev[fault.from];
-          break;
-        case SynapseFaultKind::kByzantine:
-          // Transmits w * (y + value) instead of w * y.
-          s[fault.to] += weight * fault.value;
-          break;
-      }
-    }
-  };
-  return net_.evaluate_hooked(x, hooks, workspace_);
+void Injector::forward_blocks(const FaultPlan& plan,
+                              std::span<const std::vector<double>> probes,
+                              std::span<double> out) {
+  double lanes_out[kLanes];
+  for_each_lane_block(
+      probes.size(),
+      [&](std::size_t begin, std::size_t count) {
+        block_.resize(net_.input_dim() * kLanes);
+        gather_lanes(probes.subspan(begin, count), net_.input_dim(), block_);
+        forward<kLanes>(plan, block_, lanes_out, nullptr);
+        std::copy(lanes_out, lanes_out + count, out.begin() + begin);
+      },
+      [&](std::size_t i) {
+        forward<1>(plan, probes[i], out.subspan(i, 1), nullptr);
+      });
+}
+
+void Injector::nominal(std::span<const std::vector<double>> probes,
+                       std::span<double> out) {
+  WNF_EXPECTS(out.size() == probes.size());
+  forward_blocks(kNoFaults, probes, out);
+}
+
+void Injector::damaged(const FaultPlan& plan,
+                       std::span<const std::vector<double>> probes,
+                       std::span<double> out) {
+  WNF_EXPECTS(out.size() == probes.size());
+  if (!needs_nominal_trace(plan)) {
+    forward_blocks(plan, probes, out);
+    return;
+  }
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    out[i] = damaged(plan, probes[i]);
+  }
 }
 
 double Injector::output_error(const FaultPlan& plan,
@@ -78,9 +98,13 @@ double Injector::output_error(const FaultPlan& plan,
 double Injector::worst_output_error(
     const FaultPlan& plan, std::span<const std::vector<double>> inputs) {
   WNF_EXPECTS(!inputs.empty());
+  std::vector<double> clean(inputs.size());
+  std::vector<double> hurt(inputs.size());
+  nominal(inputs, clean);
+  damaged(plan, inputs, hurt);
   double worst = 0.0;
-  for (const auto& x : inputs) {
-    worst = std::max(worst, output_error(plan, {x.data(), x.size()}));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    worst = std::max(worst, std::fabs(clean[i] - hurt[i]));
   }
   return worst;
 }

@@ -1,6 +1,7 @@
-// Executes fault plans: turns a FaultPlan into ForwardHooks and evaluates
-// the damaged network. This is the experimental counterpart of Fep — the
-// "costly experiment" path the paper contrasts with its analytic bound.
+// Executes fault plans: runs the shared fault layer step (layer_step.hpp)
+// through the network, with no clock and no channel. This is the
+// experimental counterpart of Fep — the "costly experiment" path the paper
+// contrasts with its analytic bound.
 #pragma once
 
 #include <span>
@@ -25,6 +26,22 @@ class Injector {
   /// damage — matching Theorem 2's worst-case model).
   double damaged(const FaultPlan& plan, std::span<const double> x);
 
+  /// Fault-free outputs of `probes` into `out` (same size), evaluated in
+  /// across-probe blocks of kLanes; out[i] equals nominal(probes[i]) bit for
+  /// bit.
+  void nominal(std::span<const std::vector<double>> probes,
+               std::span<double> out);
+
+  /// Damaged outputs of `probes` under `plan` into `out` (same size), in
+  /// across-probe blocks; out[i] equals damaged(plan, probes[i]) bit for
+  /// bit. Plans with a Byzantine neuron under the perturbation convention
+  /// read a per-probe nominal trace and run probe by probe. Like every
+  /// Injector entry point, `plan` must pass validate_plan for this network
+  /// (the backends check it).
+  void damaged(const FaultPlan& plan,
+               std::span<const std::vector<double>> probes,
+               std::span<double> out);
+
   /// |nominal - damaged| for `x`.
   double output_error(const FaultPlan& plan, std::span<const double> x);
 
@@ -33,8 +50,21 @@ class Injector {
                             std::span<const std::vector<double>> inputs);
 
  private:
+  /// The damaged forward pass for Lanes probes: `x` is input_dim x Lanes,
+  /// lane-major; writes the Lanes outputs to `out`.
+  template <std::size_t Lanes>
+  void forward(const FaultPlan& plan, std::span<const double> x,
+               std::span<double> out, const nn::ForwardTrace* nominal_trace);
+
+  /// Runs forward<kLanes> or forward<1> over `probes` (for_each_lane_block).
+  void forward_blocks(const FaultPlan& plan,
+                      std::span<const std::vector<double>> probes,
+                      std::span<double> out);
+
   const nn::FeedForwardNetwork& net_;
-  nn::Workspace workspace_;
+  std::vector<double> current_;  ///< the layer's input, lane-major
+  std::vector<double> next_;     ///< the layer's output, lane-major
+  std::vector<double> block_;    ///< a block's gathered inputs
 };
 
 }  // namespace wnf::fault

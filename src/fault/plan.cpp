@@ -1,5 +1,6 @@
 #include "fault/plan.hpp"
 
+#include <cmath>
 #include <set>
 #include <tuple>
 
@@ -42,6 +43,11 @@ void validate_plan(const FaultPlan& plan, const nn::FeedForwardNetwork& net) {
     if (fault.kind == NeuronFaultKind::kStuckAt) {
       WNF_EXPECTS(fault.value >= 0.0 && fault.value <= 1.0);
     }
+    // Assumption 1 bounds every transmitted value; the channel clamps a
+    // finite one, but a NaN passes any clamp and inf has no perturbation.
+    if (fault.kind == NeuronFaultKind::kByzantine) {
+      WNF_EXPECTS(std::isfinite(fault.value) && "non-finite Byzantine value");
+    }
   }
   std::set<std::tuple<std::size_t, std::size_t, std::size_t>> seen_edges;
   for (const auto& fault : plan.synapses) {
@@ -58,6 +64,9 @@ void validate_plan(const FaultPlan& plan, const nn::FeedForwardNetwork& net) {
     } else {
       WNF_EXPECTS(fault.to == 0);
       WNF_EXPECTS(fault.from < net.output_weights().size());
+    }
+    if (fault.kind == SynapseFaultKind::kByzantine) {
+      WNF_EXPECTS(std::isfinite(fault.value) && "non-finite Byzantine value");
     }
     // A synapse is correct, crashed, OR Byzantine — never two at once.
     WNF_EXPECTS(seen_edges.emplace(fault.layer, fault.to, fault.from).second &&

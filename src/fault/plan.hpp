@@ -30,7 +30,8 @@ struct FaultPlan {
 };
 
 /// Validates a plan against a network's shape: layer/neuron indices in
-/// range, no duplicate neuron targets, f_l <= N_l. Aborts on violation
+/// range, no duplicate neuron targets, f_l <= N_l, finite Byzantine values,
+/// stuck-at values in [0, 1]. Aborts on violation
 /// (plans are experiment fixtures; a malformed one is a bug, not input).
 void validate_plan(const FaultPlan& plan, const nn::FeedForwardNetwork& net);
 

@@ -29,6 +29,21 @@ double Activation::value(double x) const {
   return 0.0;
 }
 
+void Activation::apply(std::span<double> values) const {
+  switch (kind_) {
+    case ActivationKind::kSigmoid:
+      for (double& x : values) x = 1.0 / (1.0 + std::exp(-4.0 * k_ * x));
+      return;
+    case ActivationKind::kTanh01:
+      for (double& x : values) x = 0.5 * (1.0 + std::tanh(2.0 * k_ * x));
+      return;
+    case ActivationKind::kHardSigmoid:
+      for (double& x : values) x = std::clamp(0.5 + k_ * x, 0.0, 1.0);
+      return;
+  }
+  WNF_ASSERT(false);
+}
+
 double Activation::derivative(double x) const {
   switch (kind_) {
     case ActivationKind::kSigmoid: {

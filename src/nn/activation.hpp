@@ -10,6 +10,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 namespace wnf::nn {
@@ -34,6 +35,10 @@ class Activation {
   Activation() : Activation(ActivationKind::kSigmoid, 0.25) {}
 
   double value(double x) const;
+
+  /// values[i] = value(values[i]) for every i, bit for bit, with the kind
+  /// dispatched once per call instead of once per element.
+  void apply(std::span<double> values) const;
 
   /// d(value)/dx at `x`.
   double derivative(double x) const;

@@ -93,7 +93,7 @@ double FeedForwardNetwork::evaluate(std::span<const double> x,
   for (const auto& layer : hidden_) {
     next.resize(layer.out_size());
     layer.affine(current, next);
-    for (double& s : next) s = activation_.value(s);
+    activation_.apply(next);
     std::swap(current, next);
   }
   return dot({current.data(), current.size()},

@@ -18,10 +18,9 @@
 
 namespace wnf::nn {
 
-/// Mutation hooks threaded through a forward pass. This is the seam the
-/// fault injector (crash / Byzantine neurons & synapses) and the fixed-point
-/// quantiser plug into, so the nominal forward code has exactly one
-/// implementation.
+/// Mutation hooks threaded through a forward pass: the seam the fixed-point
+/// quantiser plugs into. (Fault execution does not use it; the Injector and
+/// the simulator share fault::layer_step instead.)
 struct ForwardHooks {
   /// Called after s^(l) = W^(l) y^(l-1) + b is computed, before phi.
   /// l runs over 1..L for hidden layers and L+1 for the output node (where
