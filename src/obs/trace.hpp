@@ -57,11 +57,12 @@ enum class TraceName : std::uint16_t {
   kCompletionPush = 4,  ///< instant: a worker pushed finished results
   kDeliver = 5,         ///< instant: the driver popped a result in id order
   // Transport host.
-  kDispatch = 6,  ///< span: one dispatch() pass that built >=1 frame
-  kEncode = 7,    ///< span: encoding one BatchRequest frame (value=probes)
-  kWire = 8,      ///< async: probe enters a frame -> its result harvested
+  kDispatch = 6,  ///< instant: one dispatch() pass filled >=1 ring slot
+  kEncode = 7,    ///< span: encoding a frame (the socket probe frames that
+                  ///< recorded it retired with protocol v5)
+  kWire = 8,      ///< async: probe enters a ring slot -> result harvested
                   ///< (re-begun after a death resubmits the probe)
-  kHarvest = 9,   ///< instant: a BatchResult frame arrived (value=entries)
+  kHarvest = 9,   ///< instant: result slots harvested (value=count)
   kSigkill = 10,  ///< instant: scripted SIGKILL (id=worker, value=pid)
   kRespawn = 11,  ///< instant: worker respawned (id=worker, value=new pid)
   kRebindEvent = 12,  ///< instant: fleet rebound to a new deployment
@@ -69,15 +70,16 @@ enum class TraceName : std::uint16_t {
                       ///< re-queued for a survivor (id=request id)
   kShed = 14,         ///< instant: a submission shed (value=reason code)
   // Worker process (recorded in the worker, shipped back via Telemetry).
-  kWorkerDecode = 15,   ///< span: decoding one BatchRequest (value=probes)
+  kWorkerDecode = 15,   ///< span: decoding a frame (unused since the socket
+                        ///< probe frames retired with protocol v5)
   kWorkerExecute = 16,  ///< span: one probe evaluation (id=request id)
-  kWorkerFlush = 17,    ///< instant: coalesced BatchResult shipped
+  kWorkerFlush = 17,    ///< instant: a worker's telemetry flush arrived
   // Campaign/replay layers.
   kTrialStream = 18,  ///< span: one exec backend run_trials stream
   kReplay = 19,       ///< span: one load::replay run (value=arrivals)
   // Counter tracks.
   kQueueDepth = 20,      ///< counter: accepted - delivered
-  kInflightFrames = 21,  ///< counter: un-answered BatchRequest frames
+  kInflightFrames = 21,  ///< counter: un-answered probes on one worker
   // Continuous monitoring (watchdog thread + snapshot sampler).
   kWatchdogStall = 22,    ///< instant: channel stalled (id=channel,
                           ///< value=ms without progress)

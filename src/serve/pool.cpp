@@ -11,8 +11,8 @@ namespace wnf::serve {
 namespace {
 
 /// Requests a worker claims per dispatch-queue lock. Chunking amortises
-/// the lock the way wire batching amortises syscalls; small enough that
-/// work-stealing balance survives heavy-tailed per-request latency draws.
+/// the lock across requests; small enough that work-stealing balance
+/// survives heavy-tailed per-request latency draws.
 constexpr std::size_t kGrabChunk = 8;
 
 std::size_t resolve_replicas(std::size_t requested) {

@@ -26,15 +26,19 @@
 
 namespace wnf::transport {
 
+WorkerHost::WorkerHost(TransportConfig config)
+    : WorkerHost(nullptr, std::move(config)) {}
+
+WorkerHost::WorkerHost(const nn::FeedForwardNetwork& net,
+                       TransportConfig config)
+    : WorkerHost(&net, std::move(config)) {}
+
 #if !defined(WNF_TRANSPORT_POSIX)
 
 // Stub that builds everywhere: construction aborts, available() says why.
 bool WorkerHost::available() { return false; }
-WorkerHost::WorkerHost(const nn::FeedForwardNetwork& net, TransportConfig)
-    : net_(&net) {
-  WNF_EXPECTS(false && "transport needs POSIX fork/socketpair");
-}
-WorkerHost::WorkerHost(TransportConfig) {
+WorkerHost::WorkerHost(const nn::FeedForwardNetwork* net, TransportConfig)
+    : net_(net) {
   WNF_EXPECTS(false && "transport needs POSIX fork/socketpair");
 }
 WorkerHost::~WorkerHost() = default;
@@ -106,12 +110,12 @@ SegmentsMsg make_segments(const serve::FaultTimeline& timeline) {
 
 bool WorkerHost::available() { return transport_available(); }
 
-WorkerHost::WorkerHost(TransportConfig config)
-    : config_(std::move(config)), root_(config_.seed) {
+WorkerHost::WorkerHost(const nn::FeedForwardNetwork* net,
+                       TransportConfig config)
+    : net_(net), config_(std::move(config)), root_(config_.seed) {
   WNF_EXPECTS(available());
   WNF_EXPECTS(config_.queue_capacity > 0);
-  WNF_EXPECTS(config_.batch > 0);
-  WNF_EXPECTS(config_.pipeline_depth > 0);
+  WNF_EXPECTS(config_.ring_capacity > 0);
   if (config_.workers == 0) {
     config_.workers =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -122,8 +126,6 @@ WorkerHost::WorkerHost(TransportConfig config)
   resets_count_ = &metrics_.counter("transport.resets_sent");
   resubmitted_count_ = &metrics_.counter("transport.resubmitted");
   restarts_count_ = &metrics_.counter("transport.worker_restarts");
-  batch_frames_count_ = &metrics_.counter("transport.batch_frames");
-  result_frames_count_ = &metrics_.counter("transport.result_frames");
   ring_slots_count_ = &metrics_.counter("transport.ring_slots_written");
   ring_doorbells_count_ = &metrics_.counter("transport.ring_doorbells");
   ring_torn_count_ = &metrics_.counter("transport.ring_torn_recovered");
@@ -131,7 +133,6 @@ WorkerHost::WorkerHost(TransportConfig config)
   ring_sleep_count_ = &metrics_.counter("transport.ring_sleep_wakeups");
   completion_hist_ = &metrics_.histogram("transport.completion_time");
   queue_depth_hist_ = &metrics_.histogram("transport.queue_depth");
-  batch_probes_hist_ = &metrics_.histogram("transport.batch_probes");
   trace_tag_ = obs::next_span_id() << 32;
   workers_.resize(config_.workers);
   health_ = std::make_unique<WorkerHealth[]>(workers_.size());
@@ -140,39 +141,27 @@ WorkerHost::WorkerHost(TransportConfig config)
     postmortem_ = std::make_unique<obs::PostmortemWriter>(
         obs::PostmortemConfig{config_.postmortem_dir});
   }
-  if (config_.use_rings && rings_available()) {
-    WNF_EXPECTS(config_.ring_capacity > 0);
-    // The mappings must exist before the first fork so every child
-    // inherits them; a failed mmap falls back to the framed socket path.
-    for (auto& worker : workers_) {
-      worker.rings = WorkerRings::create(config_.ring_capacity);
-      if (!worker.rings) {
-        for (auto& other : workers_) other.rings.reset();
-        break;
-      }
+  std::size_t slot_doubles = kMinSlotDoubles;
+  if (net_ != nullptr) {
+    if (!config_.straggler_cut.empty()) {
+      WNF_EXPECTS(config_.straggler_cut.size() == net_->layer_count());
+      wait_counts_ = dist::wait_counts_from_cut(*net_, config_.straggler_cut);
     }
+    refresh_control_frames();
+    slot_doubles = std::max(slot_doubles, net_->input_dim());
   }
+  // The mappings must exist before the first fork so every child inherits
+  // them; spawn() ships a bound fleet its network.
+  map_rings(slot_doubles);
   for (std::size_t w = 0; w < workers_.size(); ++w) spawn(w);
   publish_health();
 }
 
-WorkerHost::WorkerHost(const nn::FeedForwardNetwork& net,
-                       TransportConfig config)
-    : WorkerHost(std::move(config)) {
-  net_ = &net;
-  if (!config_.straggler_cut.empty()) {
-    WNF_EXPECTS(config_.straggler_cut.size() == net_->layer_count());
-    wait_counts_ = dist::wait_counts_from_cut(*net_, config_.straggler_cut);
-  }
-  // The workers forked unbound (spawn() ships nothing without a network);
-  // bind them now that there is one.
-  refresh_control_frames();
+void WorkerHost::map_rings(std::size_t slot_doubles) {
   for (auto& worker : workers_) {
-    enqueue_bind(worker);
-    enqueue_segments(worker);
+    WNF_ASSERT(!worker.alive);
+    worker.rings = WorkerRings::create(config_.ring_capacity, slot_doubles);
   }
-  rings_active_ = workers_.front().rings != nullptr &&
-                  net_->input_dim() <= kRingSlotDoubles;
 }
 
 void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
@@ -211,6 +200,14 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
   // telemetry flush boundary. Workers a previous crash script left dead
   // rejoin the fleet (spawn() binds them to the new network directly).
   refresh_control_frames();
+  if (net_->input_dim() > slot_doubles()) {
+    // Inputs wider than a request slot: the fleet shuts down, maps wider
+    // rings, and forks afresh onto them below.
+    for (auto& worker : workers_) {
+      if (worker.alive) retire(worker);
+    }
+    map_rings(net_->input_dim());
+  }
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     WorkerState& worker = workers_[w];
     if (worker.alive) {
@@ -220,14 +217,11 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
         ++worker.epoch;
         worker.control_gen = control_gen_;
       }
-      worker.ramp = 0;
     } else {
       worker.blocked_until = 0;
       spawn(w);
     }
   }
-  rings_active_ = workers_.front().rings != nullptr &&
-                  net_->input_dim() <= kRingSlotDoubles;
   // The report starts over with the deployment (rebinds_ is lifetime):
   // every per-deployment metric zeroes in place, cached pointers intact.
   completion_.clear();
@@ -246,44 +240,51 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
 
 WorkerHost::~WorkerHost() {
   for (auto& worker : workers_) {
-    if (!worker.alive) continue;
-    // Best-effort clean shutdown; closing the socket is itself a shutdown
-    // signal (the worker exits on EOF), so a full socket buffer is fine.
-    const auto frame = Codec::encode(MessageType::kShutdown, {});
-    (void)!::send(worker.fd, frame.data(), frame.size(),
-#ifdef MSG_NOSIGNAL
-                  MSG_NOSIGNAL
-#else
-                  0
-#endif
-    );
-    // A tracing worker answers the Shutdown with its final telemetry
-    // flush; harvest it before the close, or those events die with the
-    // socket. With tracing off the worker sends nothing and the drain
-    // returns on its EOF immediately.
-    if (obs::enabled()) drain_final_telemetry(worker);
-    ::close(worker.fd);
-    // Bounded reap: a wedged worker (e.g. SIGSTOPped by an operator or a
-    // watchdog test) never sees the EOF, so a plain blocking waitpid would
-    // hang the destructor forever. Give it a grace window, then make the
-    // death real.
-    int status = 0;
-    const auto reap_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(2);
-    bool reaped = false;
-    while (std::chrono::steady_clock::now() < reap_deadline) {
-      const pid_t done = ::waitpid(worker.pid, &status, WNOHANG);
-      if (done == worker.pid || (done < 0 && errno != EINTR)) {
-        reaped = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    if (!reaped) {
-      ::kill(worker.pid, SIGKILL);
-      ::waitpid(worker.pid, &status, 0);
-    }
+    if (worker.alive) retire(worker);
   }
+}
+
+void WorkerHost::retire(WorkerState& worker) {
+  // Best-effort clean shutdown; closing the socket is itself a shutdown
+  // signal (the worker exits on EOF), so a full socket buffer is fine.
+  const auto frame = Codec::encode(MessageType::kShutdown, {});
+  (void)!::send(worker.fd, frame.data(), frame.size(),
+#ifdef MSG_NOSIGNAL
+                MSG_NOSIGNAL
+#else
+                0
+#endif
+  );
+  // A tracing worker answers the Shutdown with its final telemetry flush;
+  // harvest it before the close, or those events die with the socket.
+  // With tracing off the worker sends nothing and the drain returns on
+  // its EOF immediately.
+  if (obs::enabled()) drain_final_telemetry(worker);
+  ::close(worker.fd);
+  // Bounded reap: a wedged worker (e.g. SIGSTOPped by an operator or a
+  // watchdog test) never sees the EOF, so a plain blocking waitpid would
+  // hang forever. Give it a grace window, then make the death real.
+  int status = 0;
+  const auto reap_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  bool reaped = false;
+  while (std::chrono::steady_clock::now() < reap_deadline) {
+    const pid_t done = ::waitpid(worker.pid, &status, WNOHANG);
+    if (done == worker.pid || (done < 0 && errno != EINTR)) {
+      reaped = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  if (!reaped) {
+    ::kill(worker.pid, SIGKILL);
+    ::waitpid(worker.pid, &status, 0);
+  }
+  worker.alive = false;
+  worker.fd = -1;
+  worker.pid = -1;
+  worker.inbox.clear();
+  worker.outbox.clear();
 }
 
 bool WorkerHost::ingest_telemetry(const WorkerState& worker,
@@ -325,9 +326,8 @@ void WorkerHost::drain_final_telemetry(WorkerState& worker) {
       (void)strip_doorbells(worker.inbox);  // late ring doorbells
       status = Codec::try_parse(worker.inbox, frame);
       if (status != ParseStatus::kFrame) break;
-      // Only telemetry is expected this late; anything else (a last
-      // coalesced result frame racing the shutdown) is simply dropped —
-      // the deployment's results were all delivered before destruction.
+      // Only telemetry is expected this late; anything else is dropped —
+      // the deployment's results were all delivered before the shutdown.
       if (frame.type == MessageType::kTelemetry) {
         (void)ingest_telemetry(worker, frame);
       }
@@ -346,7 +346,7 @@ void WorkerHost::spawn(std::size_t w) {
   // sequence words, park flags) before the fork so the child inherits a
   // quiescent pair. The previous occupant — if any — is already reaped, so
   // nobody else is touching the memory.
-  if (workers_[w].rings) workers_[w].rings->reset();
+  workers_[w].rings->reset();
   const pid_t pid = ::fork();
   WNF_ASSERT(pid >= 0);
   if (pid == 0) {
@@ -358,7 +358,7 @@ void WorkerHost::spawn(std::size_t w) {
       if (other.fd >= 0) ::close(other.fd);
     }
     ::_exit(worker_main(fds[1], static_cast<std::uint32_t>(w),
-                        workers_[w].rings.get()));
+                        *workers_[w].rings));
   }
   ::close(fds[1]);
   set_nonblocking(fds[0]);
@@ -372,7 +372,6 @@ void WorkerHost::spawn(std::size_t w) {
   worker.inbox.clear();
   worker.outbox.clear();
   WNF_ASSERT(worker.inflight.empty());
-  worker.ramp = 0;
   worker.epoch = 0;
   worker.control_gen = 0;
   ++worker.spawns;
@@ -638,19 +637,17 @@ void WorkerHost::worker_died(std::size_t w, bool expected) {
   worker.pid = -1;
   worker.inbox.clear();
   worker.outbox.clear();
-  // With rings, everything the worker *committed* before dying is a valid
-  // answer — harvest it (nobody races us; the process is reaped) so only
-  // genuinely unanswered probes resubmit. A started-but-uncommitted write
-  // at the head is the torn slot: counted here, recovered below by the
-  // same resubmission path as any unacknowledged probe.
+  // Everything the worker *committed* before dying is a valid answer —
+  // harvest it (nobody races us; the process is reaped) so only genuinely
+  // unanswered probes resubmit. A started-but-uncommitted write at the
+  // head is the torn slot: counted here, recovered below by the same
+  // resubmission path as any unacknowledged probe.
   std::uint64_t torn = 0;
-  if (worker.rings) {
-    std::size_t harvested = 0;
-    (void)harvest_result_ring(w, harvested);
-    if (worker.rings->result_head_torn()) {
-      torn = 1;
-      ring_torn_count_->increment();
-    }
+  std::size_t harvested = 0;
+  (void)harvest_result_ring(w, harvested);
+  if (worker.rings->result_head_torn()) {
+    torn = 1;
+    ring_torn_count_->increment();
   }
   // Forensics first: the record wants the in-flight ids this death is
   // about to hand back to the dispatcher.
@@ -666,7 +663,6 @@ void WorkerHost::worker_died(std::size_t w, bool expected) {
     insert_sorted(resubmit_, id);
   }
   worker.inflight.clear();
-  worker.ramp = 0;
   // A spontaneous death (no scripted window) respawns immediately; a
   // scripted kill stays down until its recovery boundary. Healing must
   // make progress: a fleet dying repeatedly without serving a single
@@ -752,26 +748,26 @@ void WorkerHost::ring_doorbell(std::size_t w) {
   ring_doorbells_count_->increment();
 }
 
-void WorkerHost::dispatch_rings() {
-  // The ring analogue of the framed dispatch below: one probe at a time
-  // into the least-loaded live worker's request ring, resubmissions first,
-  // same pipeline window. No frame, no checksum, no syscall — the slot is
-  // written in place and published by its commit word; a doorbell byte
-  // rides the demoted socket only when the worker had parked.
-  const std::size_t window = config_.pipeline_depth * config_.batch;
+void WorkerHost::dispatch() {
+  // One probe at a time into the least-loaded live worker's request ring,
+  // resubmissions first (they carry the oldest ids). No frame, no
+  // checksum, no syscall — the slot is written in place and published by
+  // its commit word; a doorbell byte rides the socket only when the worker
+  // had parked. Placement affects only where a request runs, never its
+  // result, so this load-balancing needs no determinism of its own.
+  const std::size_t window = config_.ring_capacity;
   while (!resubmit_.empty() || !queue_.empty()) {
     std::size_t target = workers_.size();
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       const WorkerState& worker = workers_[w];
       if (!worker.alive) continue;
       if (worker.inflight.size() >= window) continue;
-      if (!worker.rings->request_free()) continue;
       if (target == workers_.size() ||
           worker.inflight.size() < workers_[target].inflight.size()) {
         target = w;
       }
     }
-    if (target == workers_.size()) break;  // every pipeline or ring full
+    if (target == workers_.size()) break;  // every window is full
 
     std::uint64_t id = 0;
     const PendingRequest* request = nullptr;
@@ -792,8 +788,9 @@ void WorkerHost::dispatch_rings() {
     }
 
     WorkerState& worker = workers_[target];
+    // The window bounds the worker's unconsumed slots, so there is room.
     RequestSlot* slot = worker.rings->try_begin_request();
-    WNF_ASSERT(slot != nullptr);  // request_free() held above
+    WNF_ASSERT(slot != nullptr);
     slot->id = id;
     slot->epoch = worker.epoch;
     slot->segment = static_cast<std::uint32_t>(timeline_.segment_at(id));
@@ -804,7 +801,7 @@ void WorkerHost::dispatch_rings() {
       tear_fired_ = true;  // the resubmitted probe must ship clean
     }
     slot->rng_state = request->rng.state();
-    std::copy(request->x.begin(), request->x.end(), slot->x);
+    std::copy(request->x.begin(), request->x.end(), slot->x());
     worker.rings->commit_request();
     worker.inflight.push_back(id);
     worker.ring_dispatched = true;
@@ -830,107 +827,6 @@ void WorkerHost::dispatch_rings() {
   }
 }
 
-void WorkerHost::dispatch() {
-  if (rings_active_) {
-    dispatch_rings();
-    return;
-  }
-  // Build one BatchRequest frame at a time for the least-loaded live
-  // worker with pipeline room — resubmitted requests first (they carry
-  // the oldest ids), then fresh ones. Assignment affects only where a
-  // request runs, never its result, so this load-balancing needs no
-  // determinism of its own.
-  while (!resubmit_.empty() || !queue_.empty()) {
-    const std::size_t window = config_.pipeline_depth * config_.batch;
-    std::size_t target = workers_.size();
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (!workers_[w].alive) continue;
-      if (workers_[w].inflight.size() >= window) continue;
-      if (target == workers_.size() ||
-          workers_[w].inflight.size() < workers_[target].inflight.size()) {
-        target = w;
-      }
-    }
-    if (target == workers_.size()) break;  // every pipeline is full
-
-    // Variable-batch policy: a worker whose pipeline just emptied gets a
-    // small frame (fill the fleet now, not after `batch` probes queue up),
-    // then frame sizes double while its pipeline stays busy, capping at
-    // the configured batch — saturation keeps full wire amortisation.
-    WorkerState& picked = workers_[target];
-    std::size_t want = config_.batch;
-    if (config_.adaptive_batch) {
-      picked.ramp = picked.inflight.empty()
-                        ? 1
-                        : std::min(config_.batch, picked.ramp * 2);
-      want = picked.ramp;
-    }
-    want = std::min(want, window - picked.inflight.size());
-
-    // Collect up to `want` probes. A fresh request advances the frontier,
-    // so any script window it crosses fires before the request leaves the
-    // host — possibly killing the very worker this batch was being built
-    // for, in which case the collected probes go back to the resubmission
-    // queue and the outer loop re-targets.
-    std::vector<std::uint64_t> batch_ids;
-    while (batch_ids.size() < want) {
-      if (!resubmit_.empty()) {
-        batch_ids.push_back(resubmit_.front());
-        resubmit_.erase(resubmit_.begin());
-        continue;
-      }
-      if (queue_.empty()) break;
-      run_crash_script(queue_.front().id);
-      if (!workers_[target].alive) break;  // the script killed the target
-      PendingRequest request = std::move(queue_.front());
-      queue_.pop_front();
-      const std::uint64_t id = request.id;
-      inflight_.emplace(id, std::move(request));
-      batch_ids.push_back(id);
-    }
-    if (!workers_[target].alive) {
-      for (const std::uint64_t id : batch_ids) insert_sorted(resubmit_, id);
-      continue;
-    }
-    if (batch_ids.empty()) break;  // nothing left to send this pump
-    {
-      const obs::ScopedSpan encode_span(obs::TraceName::kEncode, target,
-                                        batch_ids.size());
-      BatchRequestMsg msg;
-      msg.probes.reserve(batch_ids.size());
-      for (const std::uint64_t id : batch_ids) {
-        const PendingRequest& request = inflight_.at(id);
-        RequestMsg probe;
-        probe.id = request.id;
-        probe.segment =
-            static_cast<std::uint32_t>(timeline_.segment_at(request.id));
-        probe.rng_state = request.rng.state();
-        probe.x = request.x;
-        msg.probes.push_back(std::move(probe));
-      }
-      const auto frame = Codec::encode(MessageType::kBatchRequest,
-                                       Codec::encode_batch_request(msg));
-      WorkerState& worker = workers_[target];
-      worker.outbox.insert(worker.outbox.end(), frame.begin(), frame.end());
-      worker.inflight.insert(worker.inflight.end(), batch_ids.begin(),
-                             batch_ids.end());
-    }
-    batch_frames_count_->increment();
-    batch_probes_hist_->observe(static_cast<double>(batch_ids.size()));
-    note_worker_event(target, obs::TraceName::kEncode, batch_ids.front(),
-                      batch_ids.size());
-    if (obs::enabled()) {
-      // One wire span per probe, spanning frame-out to result harvested
-      // (or to worker death, where worker_died ends it early).
-      for (const std::uint64_t id : batch_ids) {
-        obs::async_begin(obs::TraceName::kWire, trace_tag_ + id, target);
-      }
-      obs::counter(obs::TraceName::kInflightFrames,
-                   workers_[target].inflight.size());
-    }
-  }
-}
-
 void WorkerHost::service_worker(std::size_t w, bool readable, bool writable) {
   WorkerState& worker = workers_[w];
   if (!worker.alive) return;  // died while handling an earlier fd
@@ -953,32 +849,12 @@ void WorkerHost::service_worker(std::size_t w, bool readable, bool writable) {
     break;
   }
 
-  // Accepts one probe outcome: false on any protocol violation (a result
-  // this worker was never sent — including one already answered — or a
-  // probe the worker says it failed; a compliant worker exits instead).
-  const auto harvest = [&](const BatchResultEntry& entry) {
-    if (entry.status != ProbeStatus::kOk) return false;
-    const auto inflight = std::find(worker.inflight.begin(),
-                                    worker.inflight.end(), entry.id);
-    if (inflight == worker.inflight.end()) return false;
-    const auto request = inflight_.find(entry.id);
-    if (request == inflight_.end()) return false;
-    worker.inflight.erase(inflight);
-    inflight_.erase(request);
-    obs::async_end(obs::TraceName::kWire, trace_tag_ + entry.id);
-    completions_.push({entry.id, entry.output, entry.completion_time,
-                       static_cast<std::size_t>(entry.resets_sent)});
-    ++worker.harvested_total;
-    deaths_without_progress_ = 0;  // the fleet is serving; healing works
-    return true;
-  };
-
   Frame frame;
   ParseStatus status;
   while (true) {
-    // Doorbell bytes (ring wakeups) interleave with control frames on the
-    // demoted socket, always at frame boundaries; their arrival is the
-    // wakeup — the data they announce is harvested from the rings.
+    // Doorbell bytes (ring wakeups) interleave with frames on the socket,
+    // always at frame boundaries; their arrival is the wakeup — the data
+    // they announce is harvested from the rings.
     const std::size_t bells = strip_doorbells(worker.inbox);
     if (bells > 0) {
       ring_doorbells_count_->add(static_cast<std::int64_t>(bells));
@@ -1001,46 +877,21 @@ void WorkerHost::service_worker(std::size_t w, bool readable, bool writable) {
                                static_cast<std::int64_t>(hello->clock_ns);
       continue;
     }
-    if (frame.type == MessageType::kTelemetry && worker.hello_seen) {
-      // Workers flush their trace rings at deployment boundaries (before a
-      // rebind applies, on shutdown); the frames interleave freely with
-      // coalesced results.
-      if (!ingest_telemetry(worker, frame)) {
-        dead = true;
-        break;
-      }
-      if (postmortem_) {
-        // A flush resets the "deltas since last flush" postmortem window.
-        worker.flush_base = metrics_.snapshot();
-        note_worker_event(w, obs::TraceName::kWorkerFlush, 0,
-                          frame.payload.size());
-      }
-      continue;
-    }
-    if (frame.type != MessageType::kBatchResult || !worker.hello_seen) {
-      dead = true;  // protocol violation (results before the
-      break;        // handshake included): stop trusting the stream
-    }
-    const auto batch_result = Codec::decode_batch_result(frame.payload);
-    // A result frame may answer any subset of the worker's in-flight
-    // probes (workers coalesce finished probes under pipeline pressure),
-    // but an answer the host never asked for means the stream cannot be
-    // trusted.
-    if (!batch_result || worker.inflight.empty()) {
+    // Besides the greeting, workers send only Telemetry: their trace
+    // rings, flushed at deployment boundaries (before a rebind applies,
+    // on shutdown). Anything else — telemetry before the handshake
+    // included — is a protocol violation: stop trusting the stream.
+    if (frame.type != MessageType::kTelemetry || !worker.hello_seen ||
+        !ingest_telemetry(worker, frame)) {
       dead = true;
       break;
     }
-    result_frames_count_->increment();
-    obs::instant(obs::TraceName::kHarvest, w, batch_result->results.size());
-    note_worker_event(w, obs::TraceName::kHarvest, worker.inflight.size(),
-                      batch_result->results.size());
-    for (const BatchResultEntry& entry : batch_result->results) {
-      if (!harvest(entry)) {
-        dead = true;
-        break;
-      }
+    if (postmortem_) {
+      // A flush resets the "deltas since last flush" postmortem window.
+      worker.flush_base = metrics_.snapshot();
+      note_worker_event(w, obs::TraceName::kWorkerFlush, 0,
+                        frame.payload.size());
     }
-    if (dead) break;
   }
   if (status == ParseStatus::kMalformed ||
       status == ParseStatus::kWrongVersion) {
@@ -1054,9 +905,8 @@ bool WorkerHost::harvest_result_ring(std::size_t w, std::size_t& harvested) {
   const std::size_t before = harvested;
   ResultSlot* slot = nullptr;
   while ((slot = worker.rings->peek_result()) != nullptr) {
-    // Same acceptance contract as the framed harvest: an answer the host
-    // never asked this worker for, or a probe the worker says it failed,
-    // means the stream cannot be trusted.
+    // An answer the host never asked this worker for, or a probe the
+    // worker says it failed, means the stream cannot be trusted.
     if (static_cast<ProbeStatus>(slot->status) != ProbeStatus::kOk) {
       return false;
     }
@@ -1091,20 +941,10 @@ bool WorkerHost::harvest_result_ring(std::size_t w, std::size_t& harvested) {
 }
 
 std::size_t WorkerHost::harvest_rings() {
-  if (!rings_active_) return 0;
   std::size_t harvested = 0;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    WorkerState& worker = workers_[w];
-    if (!worker.alive) continue;
-    if (!harvest_result_ring(w, harvested)) {
+    if (workers_[w].alive && !harvest_result_ring(w, harvested)) {
       worker_died(w, /*expected=*/false);
-      continue;
-    }
-    // Freed result slots may unblock a worker parked on a full result
-    // ring; it owes exactly one doorbell per park.
-    if (worker.rings->take_result_space_doorbell()) {
-      ring_doorbell(w);
-      flush_outbox(w);
     }
   }
   return harvested;
@@ -1151,8 +991,8 @@ void WorkerHost::pump(bool block) {
   publish_health();
 
   // Poll the live workers; a death surfaces as EOF/HUP on its socket. The
-  // socket is polled every pump even on the ring path — deaths, Hello,
-  // and telemetry frames still live there.
+  // socket is polled every pump — deaths, Hello, and telemetry frames
+  // live there.
   std::vector<pollfd> fds;
   std::vector<std::size_t> owners;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
@@ -1176,27 +1016,23 @@ void WorkerHost::pump(bool block) {
   int timeout = 0;
   bool parked = false;
   if (block && harvested == 0) {
-    if (rings_active_) {
-      if (spin_for_results()) {
-        ring_spin_count_->increment();
-      } else {
-        bool raced = false;
-        for (auto& worker : workers_) {
-          if (!worker.alive) continue;
-          worker.rings->publish_result_waiting();
-          if (worker.rings->result_published()) raced = true;
-        }
-        if (raced) {
-          for (auto& worker : workers_) {
-            if (worker.alive) worker.rings->clear_result_waiting();
-          }
-        } else {
-          timeout = kPollTimeoutMs;
-          parked = true;
-        }
-      }
+    if (spin_for_results()) {
+      ring_spin_count_->increment();
     } else {
-      timeout = kPollTimeoutMs;
+      bool raced = false;
+      for (auto& worker : workers_) {
+        if (!worker.alive) continue;
+        worker.rings->publish_result_waiting();
+        if (worker.rings->result_published()) raced = true;
+      }
+      if (raced) {
+        for (auto& worker : workers_) {
+          if (worker.alive) worker.rings->clear_result_waiting();
+        }
+      } else {
+        timeout = kPollTimeoutMs;
+        parked = true;
+      }
     }
   }
   const int ready = ::poll(fds.data(), fds.size(), timeout);
@@ -1284,18 +1120,6 @@ serve::ServeReport WorkerHost::report() const {
       static_cast<std::size_t>(counter_value(resubmitted_count_));
   report.worker_restarts =
       static_cast<std::size_t>(counter_value(restarts_count_));
-  report.batch_frames =
-      static_cast<std::size_t>(counter_value(batch_frames_count_));
-  report.result_frames =
-      static_cast<std::size_t>(counter_value(result_frames_count_));
-  report.batch_probes_min =
-      batch_probes_hist_ == nullptr
-          ? 0
-          : static_cast<std::size_t>(batch_probes_hist_->min());
-  report.batch_probes_max =
-      batch_probes_hist_ == nullptr
-          ? 0
-          : static_cast<std::size_t>(batch_probes_hist_->max());
   report.rebinds = rebinds_;
   return report;
 }

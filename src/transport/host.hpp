@@ -8,13 +8,14 @@
 // The API deliberately mirrors serve::ReplicaPool (set_timeline / submit /
 // poll / wait / drain / report): the WorkerHost is the same serving
 // deployment one abstraction layer lower, with threads replaced by
-// processes and shared memory replaced by the transport::Codec wire
-// protocol.
+// processes: probes cross the process boundary through per-worker
+// shared-memory rings, and a socketpair per worker carries the
+// transport::Codec control frames and the rings' doorbell bytes.
 //
 // Determinism contract, inherited from the pool: every accepted request
 // gets a child Rng split off the host's root stream at submission, and its
 // fault state comes from the FaultTimeline by request id. The child's raw
-// state ships inside the request frame, so a request's result is a pure
+// state ships inside the request slot, so a request's result is a pure
 // function of (seed, id, input, timeline) — bit-identical to the
 // in-process ReplicaPool whatever the worker count, the dispatch
 // interleaving, or which workers died along the way. Worker deaths move
@@ -53,39 +54,17 @@ struct TransportConfig {
                             ///< (0 means hardware concurrency)
   std::size_t queue_capacity = 4096;  ///< outstanding requests (accepted,
                                       ///< not yet delivered) before shedding
-  std::size_t batch = 8;  ///< max probes per BatchRequest frame (>= 1); the
-                          ///< wire amortisation knob — results are
-                          ///< bit-identical at any batch size
-  std::size_t pipeline_depth = 4;  ///< outstanding probes per worker, in
-                                   ///< units of `batch` (the per-worker
-                                   ///< window is pipeline_depth * batch)
-  bool adaptive_batch = true;  ///< variable-batch dispatch: frames to a
-                               ///< worker ramp 1, 2, 4, .. up to `batch`
-                               ///< while its pipeline stays busy, and reset
-                               ///< when it idles — an idle fleet fills
-                               ///< immediately, a saturated one keeps the
-                               ///< full wire amortisation. Results are
-                               ///< bit-identical either way; false pins
-                               ///< every frame at `batch` probes
   dist::SimConfig sim;             ///< per-replica channel capacity
   dist::LatencyModel latency;  ///< per-request, per-neuron latency draws
   /// Optional Corollary-2 straggler cut, size L (empty = full waits).
   std::vector<std::size_t> straggler_cut;
   std::uint64_t seed = 0x5eed;  ///< root of the per-request Rng::split tree
-  /// Shared-memory SPSC rings for the probe hot path (zero-copy slots, no
-  /// syscall per probe; the socketpair demotes to doorbell + control
-  /// channel). Default on where mmap exists; the framed socket path is
-  /// the fully supported fallback, and deployments whose input dimension
-  /// exceeds kRingSlotDoubles fall back automatically. Results are
-  /// bit-identical on either path.
-  bool use_rings = true;
-  /// Slots per direction per worker. Sized to comfortably hold the
-  /// pipeline window (batch * pipeline_depth, 32 by default) while keeping
-  /// the per-worker mapping small enough that fork-per-campaign churn
-  /// stays cheap — a request slot is ~640 bytes, so 256 slots is ~180 KiB
-  /// per worker. A window wider than the ring just caps in-flight slots at
-  /// the ring (dispatch checks space); correctness never depends on this.
-  std::size_t ring_capacity = 256;
+  /// Slots per direction in each worker's shared-memory rings, and the
+  /// per-worker in-flight window: the host never has more than this many
+  /// probes dispatched and unanswered on one worker, so the rings never
+  /// fill. Results are bit-identical at any window; a 64-wide request
+  /// slot is 640 bytes, so the default costs ~22 KiB per worker.
+  std::size_t ring_capacity = 32;
   /// Test-only: when a dispatched request id matches, its worker tears the
   /// result slot — begin_seq plus a partial payload, then SIGKILL — so the
   /// torn-slot detection and resubmission path can be exercised
@@ -126,16 +105,18 @@ struct CrashWindow {
   std::uint64_t end = 0;
 };
 
-/// A deployment of worker processes serving batched traffic over the wire
-/// protocol through an asynchronous submission/completion pipeline.
+/// A deployment of worker processes serving batched traffic over
+/// shared-memory rings through an asynchronous submission/completion
+/// pipeline.
 ///
 /// Threading contract: one driver thread calls submit / poll / wait /
 /// drain / set_timeline / report; the host is not thread-safe across
 /// drivers, and it owns no threads of its own — parallelism lives across
 /// the worker processes. Progress happens inside a nonblocking *pump*
 /// that submit (opportunistically), poll, wait, and drain all share:
-/// each pump runs the crash script, dispatches queued requests to workers
-/// with pipeline room, flushes sockets, and harvests finished results into
+/// each pump runs the crash script, dispatches queued requests into the
+/// rings of workers with window room, flushes sockets, and harvests
+/// finished results into
 /// a serve::CompletionQueue that merges them back into id order. Because
 /// submission never blocks on execution and poll() never blocks at all,
 /// one driver thread can keep several fleets saturated at once by
@@ -169,8 +150,11 @@ class WorkerHost {
   /// seed (ids restart at 0), clears the timeline and crash script, and
   /// resets the per-deployment report — the rebound fleet serves exactly
   /// what a freshly constructed host would, bit for bit, with zero new
-  /// forks. Workers a previous crash script left dead rejoin first.
-  /// Requires an idle pipeline (no request outstanding across the swap).
+  /// forks. Workers a previous crash script left dead rejoin first. The
+  /// one exception is a network wider than the request slots: the fleet
+  /// shuts down, maps wider rings, and forks afresh (total_spawns()
+  /// counts it). Requires an idle pipeline (no request outstanding across
+  /// the swap).
   void rebind(const nn::FeedForwardNetwork& net, RebindOptions options = {});
 
   /// False only between the unbound constructor and the first rebind().
@@ -224,7 +208,7 @@ class WorkerHost {
   std::size_t pending() const { return outstanding_; }
 
   /// Throughput, completion statistics, and process-fault counters
-  /// (shed / resubmitted / worker_restarts / batch_frames / result_frames)
+  /// (shed / resubmitted / worker_restarts)
   /// over everything delivered since construction or the last rebind() —
   /// rebinding starts a fresh logical deployment, so its report starts
   /// fresh too. `rebinds` is the exception: it counts over the fleet's
@@ -244,19 +228,10 @@ class WorkerHost {
   std::size_t total_spawns() const { return total_spawns_; }
   /// Times this fleet was rebound (lifetime).
   std::size_t rebinds() const { return rebinds_; }
-  /// BatchRequest frames sent since construction / the last rebind().
-  std::size_t batch_frames() const {
-    return counter_value(batch_frames_count_);
+  /// Input doubles one request slot carries (at least kMinSlotDoubles).
+  std::size_t slot_doubles() const {
+    return workers_.front().rings->slot_doubles();
   }
-  /// BatchResult frames received since construction / the last rebind();
-  /// fewer result than batch frames means workers coalesced.
-  std::size_t result_frames() const {
-    return counter_value(result_frames_count_);
-  }
-  /// True when this deployment serves probes over the shared-memory rings
-  /// (rings on, mapping succeeded, and the bound network's input fits a
-  /// slot). False means every probe rides v4 frames.
-  bool rings_active() const { return rings_active_; }
   /// Probe slots written into request rings since construction / rebind.
   std::size_t ring_slots_written() const {
     return counter_value(ring_slots_count_);
@@ -327,6 +302,9 @@ class WorkerHost {
  private:
   static constexpr std::size_t kNoSegment = ~std::size_t{0};
 
+  /// Both public constructors: `net` null forks the fleet unbound.
+  WorkerHost(const nn::FeedForwardNetwork* net, TransportConfig config);
+
   struct PendingRequest {
     std::uint64_t id = 0;
     std::vector<double> x;
@@ -344,18 +322,17 @@ class WorkerHost {
     std::vector<std::uint8_t> outbox;  ///< bytes queued, not yet written
     /// Request ids awaiting results, in dispatch order. A deque: workers
     /// answer in order, so the ring harvest pops the front once per probe
-    /// — O(1) where a vector would memmove the whole pipeline window.
+    /// — O(1) where a vector would memmove the whole window.
     std::deque<std::uint64_t> inflight;
-    /// Transient dispatch_rings marker: this worker received slots in the
+    /// Transient dispatch marker: this worker received slots in the
     /// current call and owes one doorbell check at the end of it.
     bool ring_dispatched = false;
-    std::size_t ramp = 0;  ///< adaptive-batch size of the last frame sent
     /// host_clock - worker_clock at Hello receipt: shifts this worker's
     /// Telemetry events onto the host trace timebase.
     std::int64_t clock_offset_ns = 0;
     /// Shared-memory ring pair, mapped before the first fork and reused
-    /// (reset, never remapped) across respawns. Null when rings are off
-    /// or unavailable.
+    /// (reset, not remapped) across respawns; only a rebind to a wider
+    /// network maps a new one.
     std::shared_ptr<WorkerRings> rings;
     /// Control-plane frames enqueued to this worker process (bind,
     /// segments, rebind). Stamped into each request slot so the worker
@@ -365,7 +342,7 @@ class WorkerHost {
     /// The host control_gen_ this worker's applied deployment state
     /// matches; lets rebind() skip re-sending an identical deployment.
     std::uint64_t control_gen = 0;
-    /// Results harvested from this worker (frames + rings), lifetime —
+    /// Results harvested from this worker, lifetime —
     /// half of the health-mirror progress odometer. Plain field: only the
     /// driver touches it; publish_health() copies it into the atomics.
     std::uint64_t harvested_total = 0;
@@ -386,7 +363,13 @@ class WorkerHost {
     bool fired = false;
   };
 
+  /// Maps every worker a fresh ring pair with request slots
+  /// `slot_doubles` wide. Only with no worker process alive.
+  void map_rings(std::size_t slot_doubles);
   void spawn(std::size_t w);
+  /// Clean shutdown of a live worker: Shutdown frame, final telemetry
+  /// (when tracing), close, bounded reap (SIGKILL as the last resort).
+  void retire(WorkerState& worker);
   void enqueue_bind(WorkerState& worker);
   void enqueue_segments(WorkerState& worker);
   BindMsg make_bind() const;
@@ -402,19 +385,16 @@ class WorkerHost {
   bool flush_outbox(std::size_t w);  ///< false when the write found a corpse
 
   /// One turn of the event loop: crash-script maintenance, dispatch of
-  /// queued/resubmitted requests into workers with pipeline room, socket
+  /// queued/resubmitted requests into workers with window room, socket
   /// flush, a poll() that blocks up to the timeout only when `block`, and
-  /// a harvest of every readable result into the completion queue.
+  /// a harvest of every committed result into the completion queue.
   void pump(bool block);
+  /// Writes queued/resubmitted probes directly into request-ring slots
+  /// (least-loaded placement within the ring_capacity window), ringing
+  /// the doorbell of any parked worker.
   void dispatch();
-  /// Ring fast path of dispatch(): writes queued/resubmitted probes
-  /// directly into request-ring slots (least-loaded placement, same
-  /// pipeline window as the frame path), ringing the doorbell of any
-  /// parked worker.
-  void dispatch_rings();
   /// Drains every live worker's committed result slots into the
-  /// completion queue (plus a space doorbell for workers parked on a full
-  /// result ring). Returns how many results it harvested.
+  /// completion queue. Returns how many results it harvested.
   std::size_t harvest_rings();
   /// Drains one worker's committed result slots. False on a protocol
   /// violation (unknown id, bad status) — the caller declares the worker
@@ -432,14 +412,15 @@ class WorkerHost {
   /// refresh_bind=false skips re-serializing the network (timeline-only
   /// changes cannot move the bind payload).
   void refresh_control_frames(bool refresh_bind = true);
-  /// Reads and frames everything `w`'s socket has, harvesting results.
+  /// Reads and frames everything `w`'s socket has (Hello, Telemetry,
+  /// doorbells); EOF or a protocol violation declares the worker dead.
   void service_worker(std::size_t w, bool readable, bool writable);
   void delivered(const serve::RequestResult& result);
-  /// Ingests one worker Telemetry frame (protocol v4) into the process
+  /// Ingests one worker Telemetry frame into the process
   /// TraceLog, clock-shifted by the worker's Hello offset. False when the
   /// payload does not decode (protocol violation).
   bool ingest_telemetry(const WorkerState& worker, const Frame& frame);
-  /// Destructor-only: after the Shutdown frame, reads `worker`'s socket
+  /// After the Shutdown frame (retire()), reads `worker`'s socket
   /// until EOF (bounded wait) so the worker's final telemetry flush is
   /// harvested instead of lost with the close.
   void drain_final_telemetry(WorkerState& worker);
@@ -485,7 +466,7 @@ class WorkerHost {
   }
 
   // Aggregates over every delivery since construction / the last rebind()
-  // (id order, so deterministic). The fault/frame counters live in the
+  // (id order, so deterministic). The fault/ring counters live in the
   // metrics registry (report() derives from it; rebind() resets it);
   // completion times keep exact samples for the pinned report quantiles.
   // rebinds_ and total_spawns_ are lifetime, like the fleet itself.
@@ -496,8 +477,6 @@ class WorkerHost {
   obs::Counter* resets_count_ = nullptr;
   obs::Counter* resubmitted_count_ = nullptr;
   obs::Counter* restarts_count_ = nullptr;
-  obs::Counter* batch_frames_count_ = nullptr;
-  obs::Counter* result_frames_count_ = nullptr;
   obs::Counter* ring_slots_count_ = nullptr;
   obs::Counter* ring_doorbells_count_ = nullptr;
   obs::Counter* ring_torn_count_ = nullptr;
@@ -505,14 +484,8 @@ class WorkerHost {
   obs::Counter* ring_sleep_count_ = nullptr;
   obs::LogHistogram* completion_hist_ = nullptr;
   obs::LogHistogram* queue_depth_hist_ = nullptr;
-  /// Probes per BatchRequest frame; its exact min/max are the report's
-  /// batch_probes_min/max.
-  obs::LogHistogram* batch_probes_hist_ = nullptr;
   std::size_t rebinds_ = 0;
   std::size_t total_spawns_ = 0;
-  /// True when the current deployment serves probes over the rings (see
-  /// rings_active()); recomputed at every bind/rebind.
-  bool rings_active_ = false;
   /// The debug_tear_result_at hook has fired (it tears exactly one slot:
   /// the resubmitted probe must ship clean or the fleet would relive the
   /// crash forever).

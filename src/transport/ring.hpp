@@ -30,19 +30,22 @@
 // frame start) only when it observed the peer parked — at most one byte
 // per park, zero bytes while both sides run hot. The flag handshake is
 // seq_cst on both sides (Dekker: either the parker sees the new tail, or
-// the producer sees the flag), so a wakeup cannot be lost. The result
-// ring carries a second flag for the reverse direction — a worker parked
-// because the result ring is *full* is woken by the host after it
-// harvests.
+// the producer sees the flag), so a wakeup cannot be lost. Only consumers
+// ever park: the host caps each worker's in-flight probes at the ring
+// capacity, and request slots plus unharvested result slots never exceed
+// that count, so a worker always finds room in its result ring.
 //
 // Layout of one worker's mapping:
 //
 //   [RingControl request][RingControl result]
-//   [RequestSlot x capacity][ResultSlot x capacity]
+//   [request slot x capacity][ResultSlot x capacity]
 //
-// The mapping is created once per worker and survives respawns: the host
-// re-initialises it (reset()) after reaping a dead worker and before
-// forking its replacement, so every child inherits a quiescent ring.
+// A request slot is a RequestSlot header followed by the probe input,
+// slot_doubles() wide, padded to whole cache lines. The mapping is created
+// per worker and survives respawns: the host re-initialises it (reset())
+// after reaping a dead worker and before forking its replacement, so every
+// child inherits a quiescent pair. Only a rebind to a network wider than
+// the slots maps a new pair (and respawns the fleet onto it).
 #pragma once
 
 #include <atomic>
@@ -50,15 +53,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
 namespace wnf::transport {
-
-/// True when this platform can back the rings (POSIX anonymous shared
-/// mmap). False makes WorkerRings::create return null and the host fall
-/// back to the framed socket path.
-bool rings_available();
 
 /// The doorbell byte. Frames always start with the first magic byte
 /// (0x31, "WNF1" little-endian), and neither side ever interleaves a
@@ -66,10 +65,10 @@ bool rings_available();
 /// strip unambiguously.
 inline constexpr std::uint8_t kDoorbellByte = 0xDB;
 
-/// Input payload capacity of a request slot, in doubles. Deployments with
-/// wider inputs fall back to the framed socket path (the host checks at
-/// bind/rebind); probes inside the cap ship with zero serialization.
-inline constexpr std::size_t kRingSlotDoubles = 64;
+/// Narrowest request-slot payload, in doubles: what an unbound fleet maps,
+/// and the floor for a bound one, so rebinding between networks up to
+/// this wide never re-maps the rings.
+inline constexpr std::size_t kMinSlotDoubles = 64;
 
 /// Request-slot flag: the worker writes the matching result slot's
 /// begin_seq and a partial payload, then SIGKILLs itself — a
@@ -77,9 +76,19 @@ inline constexpr std::size_t kRingSlotDoubles = 64;
 /// TransportConfig::debug_tear_result_at; never set in production.
 inline constexpr std::uint32_t kSlotFlagTearForTest = 1u;
 
-/// One probe, host → worker, written in place. 64-byte aligned so a slot
-/// never shares a cache line with its neighbour.
-struct alignas(64) RequestSlot {
+/// Per-probe completion status in a result slot. A compliant worker only
+/// ever reports kOk (a probe it cannot evaluate is a protocol violation
+/// and the worker exits instead); the host treats anything else as a
+/// worker it can no longer trust.
+enum class ProbeStatus : std::uint8_t {
+  kOk = 0,
+  kFailed = 1,
+};
+
+/// One probe's header, host → worker, written in place. The probe input
+/// (x_count doubles) follows the header inside the slot; slots start on
+/// cache-line boundaries, so neighbours never share a line.
+struct RequestSlot {
   std::atomic<std::uint64_t> begin_seq{0};
   std::uint64_t id = 0;
   /// Control-plane frames the host had enqueued to this worker when the
@@ -92,8 +101,11 @@ struct alignas(64) RequestSlot {
   std::uint32_t flags = 0;
   std::uint32_t pad_ = 0;
   std::array<std::uint64_t, 4> rng_state{};  ///< raw Rng::split state
-  double x[kRingSlotDoubles] = {};
   std::atomic<std::uint64_t> commit_seq{0};
+
+  /// The input payload, right after the header.
+  double* x() { return reinterpret_cast<double*>(this + 1); }
+  const double* x() const { return reinterpret_cast<const double*>(this + 1); }
 };
 
 /// One probe outcome, worker → host. One cache line.
@@ -107,7 +119,7 @@ struct alignas(64) ResultSlot {
   std::atomic<std::uint64_t> commit_seq{0};
 };
 
-/// Shared cursors + park flags of one ring. Each atomic sits on its own
+/// Shared cursors + park flag of one ring. Each atomic sits on its own
 /// cache line: the producer bounces only on head, the consumer only on
 /// tail.
 struct RingControl {
@@ -115,14 +127,31 @@ struct RingControl {
   alignas(64) std::atomic<std::uint64_t> head{0};  ///< slots consumed
   /// Consumer parked on the socket, wants a doorbell on empty→nonempty.
   alignas(64) std::atomic<std::uint32_t> consumer_waiting{0};
-  /// Producer parked on the socket, wants a doorbell on full→has-space.
-  alignas(64) std::atomic<std::uint32_t> producer_waiting{0};
 };
 
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
               "shared-memory rings need address-free 64-bit atomics");
 static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
               "shared-memory rings need address-free 32-bit atomics");
+
+/// What the worker does about the request-ring head. Decided from one
+/// read of the head: reading it twice let a slot committed between the
+/// reads pass for an epoch-gated one, and the worker blocked without
+/// asking for a doorbell while committed probes waited (a lost wakeup).
+enum class HeadAction {
+  kServe,         ///< committed and not epoch-gated: serve it now
+  kPark,          ///< empty: publish the waiting flag, recheck, then block
+  kAwaitControl,  ///< committed but epoch-gated: block on the socket, where
+                  ///< the control frame it waits for is already in flight
+};
+
+/// `head` is WorkerRings::peek_request() (null when the ring is empty).
+inline HeadAction head_action(const RequestSlot* head,
+                              std::uint64_t applied_epoch) {
+  if (head == nullptr) return HeadAction::kPark;
+  return head->epoch > applied_epoch ? HeadAction::kAwaitControl
+                                     : HeadAction::kServe;
+}
 
 /// Strips leading doorbell bytes from a socket buffer (both sides call
 /// this at frame boundaries before parsing). Returns how many were
@@ -182,16 +211,18 @@ class SpinBackoff {
 /// result consumer cursors, the worker the other two.
 class WorkerRings {
  public:
-  /// Maps and initialises a ring pair; null when the platform cannot (no
-  /// mmap) or the mapping fails — the caller falls back to the socket
-  /// path.
-  static std::shared_ptr<WorkerRings> create(std::size_t capacity);
+  /// Maps and initialises a ring pair of `capacity` slots per direction
+  /// whose request slots carry up to `slot_doubles` inputs. A failed
+  /// mapping aborts: there is no other probe path to fall back to.
+  static std::shared_ptr<WorkerRings> create(std::size_t capacity,
+                                             std::size_t slot_doubles);
 
   ~WorkerRings();
   WorkerRings(const WorkerRings&) = delete;
   WorkerRings& operator=(const WorkerRings&) = delete;
 
   std::size_t capacity() const { return capacity_; }
+  std::size_t slot_doubles() const { return slot_doubles_; }
 
   /// Host-only, with the worker process reaped: re-initialises both rings
   /// and every cursor so the respawned child inherits a quiescent pair.
@@ -206,7 +237,7 @@ class WorkerRings {
   /// full. The caller fills the payload and calls commit_request().
   RequestSlot* try_begin_request() {
     if (!request_free()) return nullptr;
-    RequestSlot& slot = req_slots_[req_push_ % capacity_];
+    RequestSlot& slot = request_slot(req_push_);
     slot.begin_seq.store(req_push_ + 1, std::memory_order_release);
     // Compiler-only fence: the payload stores that follow must not sink
     // above begin_seq in program order — death (SIGKILL) is asynchronous
@@ -216,8 +247,8 @@ class WorkerRings {
     return &slot;
   }
   void commit_request() {
-    RequestSlot& slot = req_slots_[req_push_ % capacity_];
-    slot.commit_seq.store(req_push_ + 1, std::memory_order_release);
+    request_slot(req_push_).commit_seq.store(req_push_ + 1,
+                                             std::memory_order_release);
     ++req_push_;
     req_ctl_->tail.store(req_push_, std::memory_order_seq_cst);
   }
@@ -230,13 +261,9 @@ class WorkerRings {
   }
 
   // --- request ring, worker side (consumer) -----------------------------
-  bool request_ready() const {
-    const RequestSlot& slot = req_slots_[req_pop_ % capacity_];
-    return slot.commit_seq.load(std::memory_order_acquire) == req_pop_ + 1;
-  }
   /// The committed slot at the head, or null. Valid until pop_request().
   RequestSlot* peek_request() {
-    RequestSlot& slot = req_slots_[req_pop_ % capacity_];
+    RequestSlot& slot = request_slot(req_pop_);
     if (slot.commit_seq.load(std::memory_order_acquire) != req_pop_ + 1) {
       return nullptr;
     }
@@ -279,17 +306,6 @@ class WorkerRings {
     return res_ctl_->consumer_waiting.exchange(
                0, std::memory_order_seq_cst) != 0;
   }
-  void publish_result_space_waiting() {
-    res_ctl_->producer_waiting.store(1, std::memory_order_seq_cst);
-  }
-  void clear_result_space_waiting() {
-    res_ctl_->producer_waiting.store(0, std::memory_order_seq_cst);
-  }
-  /// Post-park recheck (seq_cst against the consumer's head publish).
-  bool result_space_published() const {
-    return res_push_ - res_ctl_->head.load(std::memory_order_seq_cst) <
-           capacity_;
-  }
 
   // --- result ring, host side (consumer) --------------------------------
   bool result_ready() const {
@@ -306,12 +322,6 @@ class WorkerRings {
   void pop_result() {
     ++res_pop_;
     res_ctl_->head.store(res_pop_, std::memory_order_seq_cst);
-  }
-  /// True when the worker had parked on a full result ring — the host
-  /// owes it one doorbell byte after harvesting.
-  bool take_result_space_doorbell() {
-    return res_ctl_->producer_waiting.exchange(
-               0, std::memory_order_seq_cst) != 0;
   }
   void publish_result_waiting() {
     res_ctl_->consumer_waiting.store(1, std::memory_order_seq_cst);
@@ -339,12 +349,19 @@ class WorkerRings {
  private:
   WorkerRings() = default;
 
+  RequestSlot& request_slot(std::uint64_t pos) const {
+    return *std::launder(reinterpret_cast<RequestSlot*>(
+        req_slots_ + (pos % capacity_) * req_stride_));
+  }
+
   std::size_t capacity_ = 0;
+  std::size_t slot_doubles_ = 0;
+  std::size_t req_stride_ = 0;  ///< bytes per request slot
   void* mem_ = nullptr;
   std::size_t bytes_ = 0;
   RingControl* req_ctl_ = nullptr;
   RingControl* res_ctl_ = nullptr;
-  RequestSlot* req_slots_ = nullptr;
+  std::uint8_t* req_slots_ = nullptr;
   ResultSlot* res_slots_ = nullptr;
   // Process-local cursors. After fork each process owns a private copy;
   // the host uses req_push_/res_pop_, the worker req_pop_/res_push_.

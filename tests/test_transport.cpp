@@ -1,9 +1,11 @@
-// Transport-subsystem tests: the wire codec (round-trips and malformed-
-// input rejection), the multi-process WorkerHost against the in-process
-// ReplicaPool (bit-identity across 1/2/8 worker processes, with and
-// without real SIGKILLed workers), and the TransportBackend behind the
-// EvalBackend seam (bit-equivalence with ServeBackend and — at campaign
-// scale, transmitted-value convention — with SimulatorBackend).
+// Transport-subsystem tests: the control-frame codec (round-trips and
+// malformed-input rejection), the ring park decision, the multi-process
+// WorkerHost against the in-process ReplicaPool (bit-identity across
+// 1/2/8 worker processes and every in-flight window, with and without
+// real SIGKILLed workers, narrow and wide inputs), and the
+// TransportBackend behind the EvalBackend seam (bit-equivalence with
+// ServeBackend and — at campaign scale, transmitted-value convention —
+// with SimulatorBackend).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -76,21 +78,13 @@ fault::FaultPlan sample_plan() {
 // ------------------------------------------------------------------ codec
 
 TEST(Codec, FramesRoundTripEveryMessageType) {
-  HelloMsg hello{4, 1234};
-  RequestMsg request;
-  request.id = 77;
-  request.segment = 3;
-  request.rng_state = {1, 2, 0xdeadbeefULL, ~std::uint64_t{0}};
-  request.x = {0.25, -0.0, 3e-308};
-  ResultMsg result{42, 0.125, 17.5, 9};
+  HelloMsg hello{4, 1234, 0x0123456789abcdefULL};
   SegmentsMsg segments;
   segments.plans = {fault::FaultPlan{}, sample_plan()};
 
   std::vector<std::uint8_t> stream;
   for (const auto& frame :
        {Codec::encode(MessageType::kHello, Codec::encode_hello(hello)),
-        Codec::encode(MessageType::kRequest, Codec::encode_request(request)),
-        Codec::encode(MessageType::kResult, Codec::encode_result(result)),
         Codec::encode(MessageType::kSegments,
                       Codec::encode_segments(segments)),
         Codec::encode(MessageType::kShutdown, {})}) {
@@ -104,28 +98,7 @@ TEST(Codec, FramesRoundTripEveryMessageType) {
   ASSERT_TRUE(hello_out.has_value());
   EXPECT_EQ(hello_out->worker_index, 4u);
   EXPECT_EQ(hello_out->pid, 1234u);
-
-  ASSERT_EQ(Codec::try_parse(stream, frame), ParseStatus::kFrame);
-  ASSERT_EQ(frame.type, MessageType::kRequest);
-  const auto request_out = Codec::decode_request(frame.payload);
-  ASSERT_TRUE(request_out.has_value());
-  EXPECT_EQ(request_out->id, 77u);
-  EXPECT_EQ(request_out->segment, 3u);
-  EXPECT_EQ(request_out->rng_state, request.rng_state);
-  ASSERT_EQ(request_out->x.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(request_out->x[i]),
-              std::bit_cast<std::uint64_t>(request.x[i]));
-  }
-
-  ASSERT_EQ(Codec::try_parse(stream, frame), ParseStatus::kFrame);
-  ASSERT_EQ(frame.type, MessageType::kResult);
-  const auto result_out = Codec::decode_result(frame.payload);
-  ASSERT_TRUE(result_out.has_value());
-  EXPECT_EQ(result_out->id, 42u);
-  EXPECT_EQ(result_out->output, 0.125);
-  EXPECT_EQ(result_out->completion_time, 17.5);
-  EXPECT_EQ(result_out->resets_sent, 9u);
+  EXPECT_EQ(hello_out->clock_ns, hello.clock_ns);
 
   ASSERT_EQ(Codec::try_parse(stream, frame), ParseStatus::kFrame);
   ASSERT_EQ(frame.type, MessageType::kSegments);
@@ -229,41 +202,48 @@ TEST(Codec, MalformedFramesAreRejectedNotInterpreted) {
     EXPECT_EQ(Codec::try_parse(bad, frame), ParseStatus::kMalformed);
   }
 
-  // Structurally invalid payloads: truncated vector, trailing garbage,
-  // out-of-range enum, element count that cannot fit the payload.
-  RequestMsg request;
-  request.x = {1.0, 2.0};
-  auto payload = Codec::encode_request(request);
-  auto truncated = payload;
-  truncated.pop_back();
-  EXPECT_FALSE(Codec::decode_request(truncated).has_value());
-  auto overlong = payload;
-  overlong.push_back(0);
-  EXPECT_FALSE(Codec::decode_request(overlong).has_value());
-  auto lying_count = payload;
-  lying_count[8 + 4 + 32] = 0xff;  // x-count field low byte
-  EXPECT_FALSE(Codec::decode_request(lying_count).has_value());
+  // The socket probe frames' type numbers (v4 Request/Result and
+  // BatchRequest/BatchResult) are unassigned in v5: malformed, never
+  // interpreted.
+  for (const std::uint8_t retired : {4, 5, 7, 8}) {
+    auto bad = good;
+    bad[6] = retired;  // LE u16 type, low byte
+    Frame frame;
+    EXPECT_EQ(Codec::try_parse(bad, frame), ParseStatus::kMalformed)
+        << "retired type " << int{retired};
+  }
 
+  // Structurally invalid payloads: truncation, trailing garbage,
+  // out-of-range enum, element count that cannot fit the payload.
   auto plan_payload = Codec::encode_segments({{sample_plan()}});
+  auto truncated = plan_payload;
+  truncated.pop_back();
+  EXPECT_FALSE(Codec::decode_segments(truncated).has_value());
+  auto overlong = plan_payload;
+  overlong.push_back(0);
+  EXPECT_FALSE(Codec::decode_segments(overlong).has_value());
+  auto lying_count = plan_payload;
+  lying_count[4 + 1] = 0xff;  // first plan's neuron-count low byte
+  EXPECT_FALSE(Codec::decode_segments(lying_count).has_value());
   auto bad_kind = plan_payload;
   bad_kind[4 + 1 + 4 + 4 + 4] = 0x7f;  // first neuron's kind byte
   EXPECT_FALSE(Codec::decode_segments(bad_kind).has_value());
 
   EXPECT_FALSE(Codec::decode_bind({0x01}).has_value());
   EXPECT_FALSE(Codec::decode_hello({}).has_value());
-  EXPECT_FALSE(Codec::decode_result({1, 2, 3}).has_value());
+  EXPECT_FALSE(Codec::decode_hello({1, 2, 3}).has_value());
 }
 
 TEST(Codec, CrossVersionFramesAreRejectedDistinctly) {
   // A structurally sound frame from another protocol version — older (a
-  // v3 peer's frame reaching this v4 parser) or newer (a v5 frame from
+  // v4 peer's frame reaching this v5 parser) or newer (a v6 frame from
   // some future peer) — is a version mismatch, not corruption. The
   // distinct status is the whole point: "incompatible peer" and "garbage
   // stream" demand different operator responses.
-  ASSERT_EQ(kProtocolVersion, 4u);
+  ASSERT_EQ(kProtocolVersion, 5u);
   const auto good =
       Codec::encode(MessageType::kHello, Codec::encode_hello({1, 2}));
-  for (const std::uint16_t version : {std::uint16_t{3}, std::uint16_t{5}}) {
+  for (const std::uint16_t version : {std::uint16_t{4}, std::uint16_t{6}}) {
     auto foreign = good;
     foreign[4] = static_cast<std::uint8_t>(version);  // LE u16 low byte
     foreign[5] = 0;
@@ -272,10 +252,20 @@ TEST(Codec, CrossVersionFramesAreRejectedDistinctly) {
         << "version " << version;
     EXPECT_EQ(foreign.size(), good.size());  // rejected, not consumed
   }
+  // A v4 peer's BatchResult frame is a version mismatch too, even though
+  // v5 retired its type number: which types exist depends on the version.
+  {
+    auto batch_result = good;
+    batch_result[4] = 4;  // version 4
+    batch_result[6] = 8;  // the v4 BatchResult type number
+    Frame frame;
+    EXPECT_EQ(Codec::try_parse(batch_result, frame),
+              ParseStatus::kWrongVersion);
+  }
   // Corrupting the version *and* the magic is still just garbage.
   auto garbage = good;
   garbage[0] ^= 0x5a;
-  garbage[4] = 3;
+  garbage[4] = 4;
   Frame frame;
   EXPECT_EQ(Codec::try_parse(garbage, frame), ParseStatus::kMalformed);
 }
@@ -331,60 +321,6 @@ TEST(Codec, TelemetryFramesRoundTrip) {
   EXPECT_FALSE(Codec::decode_telemetry(bad_kind).has_value());
 }
 
-TEST(Codec, BatchFramesRoundTrip) {
-  BatchRequestMsg batch;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    RequestMsg probe;
-    probe.id = 100 + i;
-    probe.segment = static_cast<std::uint32_t>(i % 3);
-    probe.rng_state = {i, ~i, 0x5eedULL + i, i * i};
-    probe.x = {0.5 * static_cast<double>(i), -0.0, 1e-300};
-    batch.probes.push_back(probe);
-  }
-  auto stream = Codec::encode(MessageType::kBatchRequest,
-                              Codec::encode_batch_request(batch));
-  Frame frame;
-  ASSERT_EQ(Codec::try_parse(stream, frame), ParseStatus::kFrame);
-  ASSERT_EQ(frame.type, MessageType::kBatchRequest);
-  const auto out = Codec::decode_batch_request(frame.payload);
-  ASSERT_TRUE(out.has_value());
-  ASSERT_EQ(out->probes.size(), batch.probes.size());
-  for (std::size_t i = 0; i < batch.probes.size(); ++i) {
-    EXPECT_EQ(out->probes[i].id, batch.probes[i].id);
-    EXPECT_EQ(out->probes[i].segment, batch.probes[i].segment);
-    EXPECT_EQ(out->probes[i].rng_state, batch.probes[i].rng_state);
-    ASSERT_EQ(out->probes[i].x.size(), batch.probes[i].x.size());
-    for (std::size_t j = 0; j < batch.probes[i].x.size(); ++j) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(out->probes[i].x[j]),
-                std::bit_cast<std::uint64_t>(batch.probes[i].x[j]));
-    }
-  }
-
-  BatchResultMsg results;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    results.results.push_back({100 + i, ProbeStatus::kOk,
-                               0.25 * static_cast<double>(i),
-                               10.0 + static_cast<double>(i), i});
-  }
-  results.results[3].status = ProbeStatus::kFailed;  // the byte round-trips
-  auto result_stream = Codec::encode(MessageType::kBatchResult,
-                                     Codec::encode_batch_result(results));
-  ASSERT_EQ(Codec::try_parse(result_stream, frame), ParseStatus::kFrame);
-  ASSERT_EQ(frame.type, MessageType::kBatchResult);
-  const auto result_out = Codec::decode_batch_result(frame.payload);
-  ASSERT_TRUE(result_out.has_value());
-  ASSERT_EQ(result_out->results.size(), results.results.size());
-  for (std::size_t i = 0; i < results.results.size(); ++i) {
-    EXPECT_EQ(result_out->results[i].id, results.results[i].id);
-    EXPECT_EQ(result_out->results[i].status, results.results[i].status);
-    EXPECT_EQ(result_out->results[i].output, results.results[i].output);
-    EXPECT_EQ(result_out->results[i].completion_time,
-              results.results[i].completion_time);
-    EXPECT_EQ(result_out->results[i].resets_sent,
-              results.results[i].resets_sent);
-  }
-}
-
 TEST(Codec, RebindRoundTripsBindAndSegments) {
   const auto net = transport_net(23);
   RebindMsg rebind;
@@ -413,64 +349,7 @@ TEST(Codec, RebindRoundTripsBindAndSegments) {
             sample_plan().neurons.size());
 }
 
-TEST(Codec, MalformedBatchAndRebindFramesAreRejected) {
-  // --- BatchRequest ---
-  BatchRequestMsg batch;
-  RequestMsg probe;
-  probe.id = 7;
-  probe.x = {1.0, 2.0};
-  batch.probes = {probe, probe};
-  const auto payload = Codec::encode_batch_request(batch);
-
-  // An empty batch is structurally meaningless.
-  std::vector<std::uint8_t> zero_count{0, 0, 0, 0};
-  EXPECT_FALSE(Codec::decode_batch_request(zero_count).has_value());
-
-  // A lying probe count must fail the bounds check before any allocation.
-  auto lying = payload;
-  lying[0] = 0xff;
-  lying[1] = 0xff;
-  EXPECT_FALSE(Codec::decode_batch_request(lying).has_value());
-
-  // Truncated per-probe payload: every cut inside the second probe fails.
-  for (std::size_t keep = 4 + 1; keep < payload.size(); keep += 7) {
-    std::vector<std::uint8_t> cut(payload.begin(),
-                                  payload.begin() + static_cast<long>(keep));
-    EXPECT_FALSE(Codec::decode_batch_request(cut).has_value())
-        << keep << " bytes kept";
-  }
-
-  // Trailing garbage after the declared probes.
-  auto overlong = payload;
-  overlong.push_back(0);
-  EXPECT_FALSE(Codec::decode_batch_request(overlong).has_value());
-
-  // --- BatchResult ---
-  BatchResultMsg results;
-  results.results = {{1, ProbeStatus::kOk, 0.5, 1.0, 0},
-                     {2, ProbeStatus::kOk, 0.25, 2.0, 1}};
-  const auto result_payload = Codec::encode_batch_result(results);
-
-  EXPECT_FALSE(Codec::decode_batch_result(zero_count).has_value());
-
-  auto lying_results = result_payload;
-  lying_results[0] = 0xff;
-  lying_results[1] = 0xff;
-  EXPECT_FALSE(Codec::decode_batch_result(lying_results).has_value());
-
-  auto bad_status = result_payload;
-  bad_status[4 + 8] = 0x7f;  // first entry's status byte
-  EXPECT_FALSE(Codec::decode_batch_result(bad_status).has_value());
-
-  auto truncated_result = result_payload;
-  truncated_result.pop_back();
-  EXPECT_FALSE(Codec::decode_batch_result(truncated_result).has_value());
-
-  auto overlong_result = result_payload;
-  overlong_result.push_back(0);
-  EXPECT_FALSE(Codec::decode_batch_result(overlong_result).has_value());
-
-  // --- Rebind ---
+TEST(Codec, MalformedRebindFramesAreRejected) {
   const auto net = transport_net(29);
   RebindMsg rebind;
   std::ostringstream text;
@@ -772,114 +651,17 @@ TEST(WorkerHost, AsyncPollWaitSurvivesSigkillMidReplay) {
   const auto report = host.report();
   EXPECT_EQ(report.worker_restarts, 1u);
   // How many probes the kill orphaned is wall-timing-dependent, but never
-  // more than the victim's pipeline window.
-  EXPECT_LE(report.resubmitted, config.pipeline_depth * config.batch);
+  // more than the victim's in-flight window.
+  EXPECT_LE(report.resubmitted, config.ring_capacity);
   EXPECT_EQ(host.alive_workers(), 2u);
 }
 
-TEST(WorkerHost, WorkersCoalesceBatchResultFramesUnderPipelinePressure) {
+TEST(WorkerHost, WindowSweepIsBitIdenticalToReplicaPool) {
   SKIP_WITHOUT_TRANSPORT();
-  // Protocol v3's relaxed framing, observed end to end: at batch = 1 with
-  // a deep pipeline, one flush lands several request frames in a worker's
-  // socket at once, and the worker answers them with fewer combined
-  // BatchResult frames — visible as result_frames < batch_frames — while
-  // the results stay bit-identical to the in-process pool.
-  const auto net = transport_net(13);
-  const auto workload = transport_workload(24, 21);
-
-  serve::ServeConfig pool_config;
-  pool_config.replicas = 1;
-  pool_config.latency = heavy_tail();
-  pool_config.seed = 31;
-  serve::ReplicaPool pool(net, pool_config);
-  ASSERT_EQ(pool.submit_batch(workload), workload.size());
-  const auto expected = pool.drain();
-
-  TransportConfig config;
-  config.workers = 1;
-  config.batch = 1;
-  config.pipeline_depth = 8;
-  config.latency = heavy_tail();
-  config.seed = 31;
-  // Frame-coalescing is a socket-path behaviour; rings carry no frames.
-  config.use_rings = false;
-  WorkerHost host(net, config);
-  ASSERT_EQ(host.submit_batch(workload), workload.size());
-  const auto served = host.drain();
-
-  ASSERT_EQ(served.size(), expected.size());
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    EXPECT_DOUBLE_EQ(served[i].output, expected[i].output);
-    EXPECT_DOUBLE_EQ(served[i].completion_time, expected[i].completion_time);
-  }
-  const auto report = host.report();
-  // batch = 1 pins one probe per request frame; the eight frames each
-  // flush delivers come back coalesced, so strictly fewer result frames.
-  EXPECT_EQ(report.batch_frames, workload.size());
-  EXPECT_GT(report.result_frames, 0u);
-  EXPECT_LT(report.result_frames, report.batch_frames);
-  EXPECT_EQ(host.result_frames(), report.result_frames);
-}
-
-TEST(WorkerHost, AdaptiveBatchRampsFrameSizesAndStaysBitIdentical) {
-  SKIP_WITHOUT_TRANSPORT();
-  // The variable-batch dispatcher: frames ramp 1, 2, 4, ... toward the
-  // configured batch while the pipeline stays busy, the chosen sizes are
-  // exposed in the report, and — batching being a wire knob, never a
-  // semantics knob — results are bit-identical to fixed-size batching.
-  const auto net = transport_net(13);
-  const auto workload = transport_workload(96, 21);
-
-  TransportConfig config;
-  config.workers = 2;
-  config.batch = 8;
-  config.pipeline_depth = 4;
-  config.latency = heavy_tail();
-  config.seed = 77;
-  // The ramp is observed through frame counters — pin the socket path.
-  config.use_rings = false;
-
-  config.adaptive_batch = false;
-  std::vector<serve::RequestResult> expected;
-  std::size_t fixed_frames = 0;
-  {
-    WorkerHost fixed(net, config);
-    ASSERT_EQ(fixed.submit_batch(workload), workload.size());
-    expected = fixed.drain();
-    const auto report = fixed.report();
-    fixed_frames = report.batch_frames;
-    // Fixed batching never ramps: every frame carries `batch` probes
-    // except possibly a remainder tail.
-    EXPECT_EQ(report.batch_probes_max, config.batch);
-  }
-
-  config.adaptive_batch = true;
-  WorkerHost host(net, config);
-  ASSERT_EQ(host.submit_batch(workload), workload.size());
-  const auto served = host.drain();
-
-  ASSERT_EQ(served.size(), expected.size());
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    EXPECT_EQ(served[i].id, expected[i].id);
-    EXPECT_DOUBLE_EQ(served[i].output, expected[i].output);
-    EXPECT_DOUBLE_EQ(served[i].completion_time, expected[i].completion_time);
-    EXPECT_EQ(served[i].resets_sent, expected[i].resets_sent);
-  }
-  const auto report = host.report();
-  // The ramp started at one probe, reached the configured cap under
-  // saturation, and spent more frames doing it than fixed batching.
-  EXPECT_EQ(report.batch_probes_min, 1u);
-  EXPECT_EQ(report.batch_probes_max, config.batch);
-  EXPECT_GE(report.batch_frames, fixed_frames);
-}
-
-TEST(WorkerHost, BatchSizeSweepIsBitIdenticalToReplicaPool) {
-  SKIP_WITHOUT_TRANSPORT();
-  // Batching is a wire-amortisation knob, not a semantics knob: the same
-  // deployment at 1, 8, and 64 probes per frame serves outputs,
-  // completion times, and reset counts bit-identical to the in-process
-  // pool, while the batch_frames counter shows the syscall amortisation
-  // actually happened.
+  // The in-flight window is a pipelining knob, not a semantics knob: the
+  // same deployment at 1, 4, and 32 probes in flight per worker serves
+  // outputs, completion times, and reset counts bit-identical to the
+  // in-process pool, with every probe riding a ring slot.
   const auto net = transport_net(13);
   const auto workload = transport_workload(96, 43);
 
@@ -898,54 +680,45 @@ TEST(WorkerHost, BatchSizeSweepIsBitIdenticalToReplicaPool) {
   ASSERT_EQ(pool.submit_batch(workload), workload.size());
   const auto expected = pool.drain();
 
-  for (const std::size_t batch : {1u, 8u, 64u}) {
+  for (const std::size_t window : {1u, 4u, 32u}) {
     TransportConfig config;
     config.workers = 2;
-    config.batch = batch;
+    config.ring_capacity = window;
     config.latency = heavy_tail();
     config.straggler_cut = {2, 1};
     config.seed = 123;
-    // The sweep asserts frame-amortisation counters — pin the socket path
-    // (RingPathBitIdentity covers the same sweep over the rings).
-    config.use_rings = false;
     WorkerHost host(net, config);
     host.set_timeline(timeline);
     ASSERT_EQ(host.submit_batch(workload), workload.size());
     const auto served = host.drain();
 
-    ASSERT_EQ(served.size(), expected.size()) << "batch " << batch;
+    ASSERT_EQ(served.size(), expected.size()) << "window " << window;
     for (std::size_t i = 0; i < served.size(); ++i) {
       EXPECT_EQ(served[i].id, expected[i].id);
       EXPECT_DOUBLE_EQ(served[i].output, expected[i].output)
-          << "request " << i << " at batch " << batch;
+          << "request " << i << " at window " << window;
       EXPECT_DOUBLE_EQ(served[i].completion_time,
                        expected[i].completion_time);
       EXPECT_EQ(served[i].resets_sent, expected[i].resets_sent);
     }
-    const auto report = host.report();
-    EXPECT_EQ(report.completed, workload.size());
-    // Amortisation: every frame but the stragglers carries `batch` probes.
-    EXPECT_GE(report.batch_frames, (workload.size() + batch - 1) / batch);
-    EXPECT_LE(report.batch_frames, workload.size());
-    if (batch >= workload.size()) {
-      EXPECT_LE(report.batch_frames, 2u * 2u);  // at most one per pipeline
-    }
+    EXPECT_EQ(host.report().completed, workload.size());
+    EXPECT_EQ(host.ring_slots_written(), workload.size())
+        << "window " << window;
   }
 }
 
-TEST(WorkerHost, SigkillMidBatchResubmitsOnlyUnacknowledgedProbes) {
+TEST(WorkerHost, SigkillMidWindowResubmitsOnlyUnacknowledgedProbes) {
   SKIP_WITHOUT_TRANSPORT();
-  // A worker dies with batches in flight. Per-probe acknowledgement means
-  // the host resubmits at most the probes of unanswered batches — bounded
-  // by pipeline_depth * batch — and the drain still completes
-  // bit-identical to an undisturbed deployment.
+  // A worker dies with probes in flight. Per-probe acknowledgement (the
+  // result slot's commit word) means the host resubmits only probes the
+  // victim never answered — bounded by its in-flight window — and the
+  // drain still completes bit-identical to an undisturbed deployment.
   const auto net = transport_net(13);
   const auto workload = transport_workload(80, 51);
 
   TransportConfig config;
   config.workers = 2;
-  config.batch = 8;
-  config.pipeline_depth = 2;
+  config.ring_capacity = 16;
   config.latency = heavy_tail();
   config.seed = 77;
   std::vector<serve::RequestResult> reference;
@@ -957,7 +730,7 @@ TEST(WorkerHost, SigkillMidBatchResubmitsOnlyUnacknowledgedProbes) {
 
   WorkerHost host(net, config);
   // The kill fires when the dispatch frontier reaches id 24 — mid-stream,
-  // with up to two 8-probe batches unacknowledged on the victim.
+  // with up to a full window unacknowledged on the victim.
   host.set_crash_script({{0, 24, 60}});
   ASSERT_EQ(host.submit_batch(workload), workload.size());
   const auto served = host.drain();
@@ -971,9 +744,9 @@ TEST(WorkerHost, SigkillMidBatchResubmitsOnlyUnacknowledgedProbes) {
   const auto report = host.report();
   EXPECT_EQ(report.completed, workload.size());
   EXPECT_EQ(report.worker_restarts, 1u);
-  // Only the victim's unacknowledged batches were lost, never more than
-  // its pipeline could hold.
-  EXPECT_LE(report.resubmitted, config.pipeline_depth * config.batch);
+  // Only the victim's unacknowledged probes were lost, never more than
+  // its window could hold.
+  EXPECT_LE(report.resubmitted, config.ring_capacity);
 }
 
 // -------------------------------------------------- persistent worker fleet
@@ -1128,16 +901,51 @@ TEST(WorkerHostDeathTest, ServingAnUnboundFleetIsAContractViolation) {
 
 // ------------------------------------------------- shared-memory rings
 
-// Serves `workload` through a WorkerHost built from `config` and returns
-// the drained results (plus the host's report through `report`).
-std::vector<serve::RequestResult> serve_through(
-    const nn::FeedForwardNetwork& net, const TransportConfig& config,
+TEST(RingHeadAction, CommittedUngatedHeadIsServedNeverBlockedWithoutFlag) {
+  // The worker's park decision, driven deterministically in one process
+  // (host-side producer cursor and worker-side consumer cursor of one
+  // mapping). Only an empty head may park (with the doorbell flag), only
+  // an epoch-gated head may block without the flag, and a committed
+  // head the worker may serve must always be served — blocking on it
+  // without the flag is the lost wakeup that stalled fleets. Three laps
+  // of a 4-slot ring cover the wrap-around positions.
+  const auto rings = WorkerRings::create(4, kMinSlotDoubles);
+  EXPECT_EQ(head_action(rings->peek_request(), 0), HeadAction::kPark);
+  for (std::uint64_t pos = 0; pos < 3 * rings->capacity(); ++pos) {
+    const std::uint64_t epoch = pos % 4;
+    RequestSlot* slot = rings->try_begin_request();
+    ASSERT_NE(slot, nullptr);
+    slot->id = pos;
+    slot->epoch = epoch;
+    // Started but uncommitted: still an empty ring to the worker.
+    EXPECT_EQ(head_action(rings->peek_request(), epoch), HeadAction::kPark);
+    rings->commit_request();
+    for (std::uint64_t applied = 0; applied < 4; ++applied) {
+      const HeadAction action = head_action(rings->peek_request(), applied);
+      if (epoch <= applied) {
+        EXPECT_EQ(action, HeadAction::kServe)
+            << "committed, not gated: slot " << pos << " applied "
+            << applied;
+      } else {
+        EXPECT_EQ(action, HeadAction::kAwaitControl)
+            << "gated: slot " << pos << " applied " << applied;
+      }
+    }
+    rings->pop_request();
+    EXPECT_EQ(head_action(rings->peek_request(), 3), HeadAction::kPark);
+  }
+}
+
+// Serves `workload` through a ReplicaPool built from `config` and returns
+// the drained results — the reference every ring deployment must match.
+std::vector<serve::RequestResult> pool_through(
+    const nn::FeedForwardNetwork& net, const serve::ServeConfig& config,
     const std::vector<std::vector<double>>& workload,
     const serve::FaultTimeline* timeline = nullptr) {
-  WorkerHost host(net, config);
-  if (timeline != nullptr) host.set_timeline(*timeline);
-  EXPECT_EQ(host.submit_batch(workload), workload.size());
-  return host.drain();
+  serve::ReplicaPool pool(net, config);
+  if (timeline != nullptr) pool.set_timeline(*timeline);
+  EXPECT_EQ(pool.submit_batch(workload), workload.size());
+  return pool.drain();
 }
 
 void expect_bit_identical(const std::vector<serve::RequestResult>& got,
@@ -1155,12 +963,12 @@ void expect_bit_identical(const std::vector<serve::RequestResult>& got,
   }
 }
 
-TEST(WorkerHostRings, RingPathBitIdenticalToSocketPathAcrossWorkerCounts) {
+TEST(WorkerHostRings, RingPathBitIdenticalToReplicaPoolAcrossWorkerCounts) {
   SKIP_WITHOUT_TRANSPORT();
-  // The tentpole contract: the zero-copy ring hot path serves outputs,
-  // completion times, and reset counts bit-identical to the framed socket
-  // path — and to the in-process pool — at 1, 2, and 8 workers, under a
-  // mid-stream fault timeline and a straggler cut.
+  // The tentpole contract: the zero-copy ring path serves outputs,
+  // completion times, and reset counts bit-identical to the in-process
+  // pool at 1, 2, and 8 workers, under a mid-stream fault timeline and a
+  // straggler cut — with every probe riding a ring slot.
   const auto net = transport_net(13);
   const auto workload = transport_workload(96, 43);
 
@@ -1174,10 +982,7 @@ TEST(WorkerHostRings, RingPathBitIdenticalToSocketPathAcrossWorkerCounts) {
   pool_config.latency = heavy_tail();
   pool_config.straggler_cut = {2, 1};
   pool_config.seed = 123;
-  serve::ReplicaPool pool(net, pool_config);
-  pool.set_timeline(timeline);
-  ASSERT_EQ(pool.submit_batch(workload), workload.size());
-  const auto expected = pool.drain();
+  const auto expected = pool_through(net, pool_config, workload, &timeline);
 
   for (const std::size_t workers : {1u, 2u, 8u}) {
     TransportConfig config;
@@ -1185,25 +990,13 @@ TEST(WorkerHostRings, RingPathBitIdenticalToSocketPathAcrossWorkerCounts) {
     config.latency = heavy_tail();
     config.straggler_cut = {2, 1};
     config.seed = 123;
-
-    config.use_rings = true;
-    WorkerHost ring_host(net, config);
-    if (!ring_host.rings_active()) {
-      GTEST_SKIP() << "shared-memory rings unavailable on this platform";
-    }
-    ring_host.set_timeline(timeline);
-    ASSERT_EQ(ring_host.submit_batch(workload), workload.size());
-    const auto over_rings = ring_host.drain();
-    expect_bit_identical(over_rings, expected, "rings vs pool");
-    // Every probe rode a ring slot; the socket carried no data frames.
-    EXPECT_EQ(ring_host.ring_slots_written(), workload.size())
+    WorkerHost host(net, config);
+    host.set_timeline(timeline);
+    ASSERT_EQ(host.submit_batch(workload), workload.size());
+    expect_bit_identical(host.drain(), expected, "rings vs pool");
+    EXPECT_EQ(host.ring_slots_written(), workload.size())
         << "workers " << workers;
-    EXPECT_EQ(ring_host.batch_frames(), 0u);
-    EXPECT_EQ(ring_host.report().completed, workload.size());
-
-    config.use_rings = false;
-    const auto over_socket = serve_through(net, config, workload, &timeline);
-    expect_bit_identical(over_socket, expected, "socket vs pool");
+    EXPECT_EQ(host.report().completed, workload.size());
   }
 }
 
@@ -1221,9 +1014,7 @@ TEST(WorkerHostRings, SigkillMidSlotLeavesTornSlotThatIsRecovered) {
   pool_config.replicas = 2;
   pool_config.latency = heavy_tail();
   pool_config.seed = 7;
-  serve::ReplicaPool pool(net, pool_config);
-  ASSERT_EQ(pool.submit_batch(workload), workload.size());
-  const auto expected = pool.drain();
+  const auto expected = pool_through(net, pool_config, workload);
 
   TransportConfig config;
   config.workers = 2;
@@ -1231,9 +1022,6 @@ TEST(WorkerHostRings, SigkillMidSlotLeavesTornSlotThatIsRecovered) {
   config.seed = 7;
   config.debug_tear_result_at = 10;  // tear mid-stream
   WorkerHost host(net, config);
-  if (!host.rings_active()) {
-    GTEST_SKIP() << "shared-memory rings unavailable on this platform";
-  }
   ASSERT_EQ(host.submit_batch(workload), workload.size());
   const auto served = host.drain();
 
@@ -1257,14 +1045,15 @@ TEST(WorkerHostRings, RebindOnRingsServesRepeatedCampaignsBitIdentically) {
   config.latency = heavy_tail();
   config.seed = 29;
   WorkerHost host(net, config);
-  if (!host.rings_active()) {
-    GTEST_SKIP() << "shared-memory rings unavailable on this platform";
+  std::vector<serve::RequestResult> expected;
+  {
+    WorkerHost fresh(net, config);
+    ASSERT_EQ(fresh.submit_batch(workload), workload.size());
+    expected = fresh.drain();
   }
-  const auto expected = serve_through(net, config, workload);
 
   for (int campaign = 0; campaign < 3; ++campaign) {
     host.rebind(net);
-    ASSERT_TRUE(host.rings_active());
     ASSERT_EQ(host.submit_batch(workload), workload.size());
     const auto served = host.drain();
     expect_bit_identical(served, expected, "rebound campaign");
@@ -1276,17 +1065,16 @@ TEST(WorkerHostRings, RebindOnRingsServesRepeatedCampaignsBitIdentically) {
 TEST(WorkerHostRings, TinyRingCapacitiesWrapAroundBitIdentically) {
   SKIP_WITHOUT_TRANSPORT();
   // Wraparound torture: at 2–4 slots per ring the cursors lap dozens of
-  // times and both sides hit the full/empty park paths constantly; the
+  // times and the window keeps both rings at the edge of full; the
   // seqlock commit words must keep every lap unambiguous.
   const auto net = transport_net(13);
   const auto workload = transport_workload(96, 43);
 
-  TransportConfig reference_config;
-  reference_config.workers = 2;
-  reference_config.latency = heavy_tail();
-  reference_config.seed = 123;
-  reference_config.use_rings = false;
-  const auto expected = serve_through(net, reference_config, workload);
+  serve::ServeConfig pool_config;
+  pool_config.replicas = 2;
+  pool_config.latency = heavy_tail();
+  pool_config.seed = 123;
+  const auto expected = pool_through(net, pool_config, workload);
 
   for (const std::size_t capacity : {2u, 3u, 4u}) {
     for (const std::size_t workers : {1u, 2u}) {
@@ -1296,9 +1084,6 @@ TEST(WorkerHostRings, TinyRingCapacitiesWrapAroundBitIdentically) {
       config.seed = 123;
       config.ring_capacity = capacity;
       WorkerHost host(net, config);
-      if (!host.rings_active()) {
-        GTEST_SKIP() << "shared-memory rings unavailable on this platform";
-      }
       ASSERT_EQ(host.submit_batch(workload), workload.size());
       const auto served = host.drain();
       expect_bit_identical(served, expected, "tiny-capacity rings");
@@ -1308,107 +1093,174 @@ TEST(WorkerHostRings, TinyRingCapacitiesWrapAroundBitIdentically) {
   }
 }
 
-TEST(WorkerHostRings, FallbackPathsSelectFramesAndStayBitIdentical) {
-  SKIP_WITHOUT_TRANSPORT();
-  // Both fallbacks: use_rings=false pins the framed socket path outright,
-  // and a network whose input dimension exceeds a ring slot falls back
-  // automatically even with rings requested. Either way the deployment
-  // serves frames (batch_frames > 0, zero ring slots) and results match
-  // the in-process pool bit for bit.
-  {
-    const auto net = transport_net(13);
-    const auto workload = transport_workload(48, 21);
-    TransportConfig config;
-    config.workers = 2;
-    config.latency = heavy_tail();
-    config.seed = 9;
-    config.use_rings = false;
-    WorkerHost host(net, config);
-    EXPECT_FALSE(host.rings_active());
-    ASSERT_EQ(host.submit_batch(workload), workload.size());
-    const auto served = host.drain();
-    EXPECT_EQ(host.ring_slots_written(), 0u);
-    EXPECT_GT(host.batch_frames(), 0u);
+// A sigmoid net with `inputs` inputs and a matching seeded workload.
+nn::FeedForwardNetwork wide_net(std::size_t inputs) {
+  Rng rng(5 + inputs);
+  return nn::NetworkBuilder(inputs)
+      .activation(nn::ActivationKind::kSigmoid, 1.0)
+      .hidden(4)
+      .init(nn::InitKind::kUniform, 0.5)
+      .build(rng);
+}
 
-    serve::ServeConfig pool_config;
-    pool_config.replicas = 2;
-    pool_config.latency = heavy_tail();
-    pool_config.seed = 9;
-    serve::ReplicaPool pool(net, pool_config);
-    ASSERT_EQ(pool.submit_batch(workload), workload.size());
-    expect_bit_identical(served, pool.drain(), "use_rings=false");
+std::vector<std::vector<double>> wide_workload(std::size_t inputs,
+                                               std::size_t count) {
+  Rng rng(6 + inputs);
+  std::vector<std::vector<double>> workload(count);
+  for (auto& x : workload) {
+    x.resize(inputs);
+    for (auto& v : x) v = rng.uniform();
   }
-  {
-    // kRingSlotDoubles + 1 inputs cannot ride a slot.
-    Rng rng(5);
-    const auto wide = nn::NetworkBuilder(kRingSlotDoubles + 1)
-                          .activation(nn::ActivationKind::kSigmoid, 1.0)
-                          .hidden(4)
-                          .init(nn::InitKind::kUniform, 0.5)
-                          .build(rng);
-    Rng workload_rng(6);
-    std::vector<std::vector<double>> workload(24);
-    for (auto& x : workload) {
-      x.resize(wide.input_dim());
-      for (auto& v : x) v = workload_rng.uniform();
-    }
-    TransportConfig config;
-    config.workers = 2;
-    config.latency = heavy_tail();
-    config.seed = 9;
-    config.use_rings = true;  // requested, but the input cannot fit
-    WorkerHost host(wide, config);
-    EXPECT_FALSE(host.rings_active());
-    ASSERT_EQ(host.submit_batch(workload), workload.size());
-    const auto served = host.drain();
-    EXPECT_EQ(host.ring_slots_written(), 0u);
-    EXPECT_GT(host.batch_frames(), 0u);
+  return workload;
+}
 
+TEST(WorkerHostRings, WideInputsRideTheRingsBitIdentically) {
+  SKIP_WITHOUT_TRANSPORT();
+  // Inputs wider than the narrowest slot size the request slots from the
+  // bound network: 65 and 200 inputs ride the rings like 3 do, with every
+  // probe in a slot and results bit-identical to the in-process pool.
+  for (const std::size_t inputs : {kMinSlotDoubles + 1, std::size_t{200}}) {
+    const auto net = wide_net(inputs);
+    const auto workload = wide_workload(inputs, 24);
     serve::ServeConfig pool_config;
     pool_config.replicas = 2;
     pool_config.latency = heavy_tail();
     pool_config.seed = 9;
-    serve::ReplicaPool pool(wide, pool_config);
-    ASSERT_EQ(pool.submit_batch(workload), workload.size());
-    expect_bit_identical(served, pool.drain(), "wide-input fallback");
+    const auto expected = pool_through(net, pool_config, workload);
+
+    TransportConfig config;
+    config.workers = 2;
+    config.latency = heavy_tail();
+    config.seed = 9;
+    WorkerHost host(net, config);
+    EXPECT_EQ(host.slot_doubles(), inputs);
+    ASSERT_EQ(host.submit_batch(workload), workload.size());
+    expect_bit_identical(host.drain(), expected, "wide inputs");
+    EXPECT_EQ(host.ring_slots_written(), workload.size()) << inputs;
   }
 }
 
-TEST(WorkerHostRings, ScriptedSigkillOnRingsMatchesSocketPath) {
+TEST(WorkerHostRings, NarrowWideNarrowRebindsRemapOnlyWhenWidening) {
   SKIP_WITHOUT_TRANSPORT();
-  // The scripted crash machinery rides unchanged on top of the rings:
-  // a SIGKILL window mid-replay moves requests between processes on both
-  // paths and neither result stream diverges from the other.
+  // One fleet across narrow -> wide -> wider -> narrow networks. A rebind
+  // to inputs wider than the slots shuts the fleet down, maps wider rings
+  // and forks afresh (total_spawns() counts it); every other rebind
+  // reuses the live processes. Each deployment matches the in-process
+  // pool bit for bit — rebind still equals a fresh host.
+  TransportConfig config;
+  config.workers = 2;
+  config.latency = heavy_tail();
+  config.seed = 9;
+  serve::ServeConfig pool_config;
+  pool_config.replicas = 2;
+  pool_config.latency = heavy_tail();
+  pool_config.seed = 9;
+
+  const auto narrow = wide_net(3);
+  const auto wide = wide_net(kMinSlotDoubles + 1);
+  const auto wider = wide_net(200);
+  WorkerHost host(narrow, config);
+  EXPECT_EQ(host.slot_doubles(), kMinSlotDoubles);
+
+  struct Step {
+    const nn::FeedForwardNetwork* net;
+    std::size_t slot_doubles;
+    std::size_t total_spawns;
+  };
+  for (const Step& step : {Step{&narrow, kMinSlotDoubles, 2},
+                           Step{&wide, kMinSlotDoubles + 1, 4},
+                           Step{&wider, 200, 6}, Step{&narrow, 200, 6},
+                           Step{&wide, 200, 6}}) {
+    const std::size_t inputs = step.net->input_dim();
+    host.rebind(*step.net);
+    EXPECT_EQ(host.slot_doubles(), step.slot_doubles) << inputs;
+    EXPECT_EQ(host.total_spawns(), step.total_spawns) << inputs;
+    const auto workload = wide_workload(inputs, 24);
+    ASSERT_EQ(host.submit_batch(workload), workload.size());
+    expect_bit_identical(host.drain(),
+                         pool_through(*step.net, pool_config, workload),
+                         "rebound deployment");
+    EXPECT_EQ(host.ring_slots_written(), workload.size()) << inputs;
+  }
+  EXPECT_EQ(host.alive_workers(), 2u);
+}
+
+TEST(WorkerHostRings, ScriptedSigkillOnRingsMatchesReplicaPool) {
+  SKIP_WITHOUT_TRANSPORT();
+  // The scripted crash machinery rides on top of the rings: a SIGKILL
+  // window mid-replay moves requests between processes, and the result
+  // stream still matches the in-process pool, which never lost a thread.
   const auto net = transport_net(9);
   const auto workload = transport_workload(96, 31);
+
+  serve::ServeConfig pool_config;
+  pool_config.replicas = 2;
+  pool_config.latency = heavy_tail();
+  pool_config.seed = 41;
+  const auto expected = pool_through(net, pool_config, workload);
 
   TransportConfig config;
   config.workers = 2;
   config.latency = heavy_tail();
   config.seed = 41;
-
-  config.use_rings = false;
-  std::vector<serve::RequestResult> expected;
-  {
-    WorkerHost host(net, config);
-    host.set_crash_script({{0, 24, 72}});
-    ASSERT_EQ(host.submit_batch(workload), workload.size());
-    expected = host.drain();
-    EXPECT_GE(host.restarts(), 1u);
-  }
-
-  config.use_rings = true;
   WorkerHost host(net, config);
-  if (!host.rings_active()) {
-    GTEST_SKIP() << "shared-memory rings unavailable on this platform";
-  }
   host.set_crash_script({{0, 24, 72}});
   ASSERT_EQ(host.submit_batch(workload), workload.size());
   const auto served = host.drain();
-  expect_bit_identical(served, expected, "scripted kill rings vs socket");
+  expect_bit_identical(served, expected, "scripted kill rings vs pool");
   EXPECT_GE(host.restarts(), 1u);
-  EXPECT_GE(host.resubmitted(), 0u);
+  EXPECT_LE(host.resubmitted(), config.ring_capacity);
   EXPECT_EQ(host.report().completed, workload.size());
+}
+
+TEST(WorkerHostRings, TrickledPollDrivenTrafficNeverStalls) {
+  SKIP_WITHOUT_TRANSPORT();
+  // The lost-wakeup regression, end to end: requests trickle in one at a
+  // time with a short nap between them, so the workers drain their rings,
+  // spin out, and park again and again while the host commits the next
+  // slot — the interleaving in which a worker used to block without its
+  // doorbell flag and strand every committed probe behind it. The driver
+  // only ever poll()s; a stream that makes no progress for 2 s fails the
+  // test instead of hanging it.
+  const auto net = transport_net(13);
+  const auto inputs = transport_workload(64, 5);
+  constexpr std::size_t kRounds = 3;
+  constexpr std::size_t kRequests = 20000;
+  constexpr auto kNoProgress = std::chrono::seconds(2);
+
+  TransportConfig config;
+  config.workers = 2;
+  config.queue_capacity = kRequests;
+  config.seed = 3;
+  WorkerHost host(net, config);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    if (round > 0) host.rebind(net);
+    std::size_t delivered = 0;
+    auto last_progress = std::chrono::steady_clock::now();
+    serve::RequestResult result;
+    const auto drain_ready = [&] {
+      while (host.poll(result)) {
+        EXPECT_EQ(result.id, delivered) << "round " << round;
+        ++delivered;
+        last_progress = std::chrono::steady_clock::now();
+      }
+    };
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      ASSERT_TRUE(host.submit(inputs[i % inputs.size()]));
+      drain_ready();
+      ASSERT_LT(std::chrono::steady_clock::now() - last_progress, kNoProgress)
+          << "round " << round << " stalled: " << delivered << " of "
+          << i + 1 << " submitted requests delivered";
+      std::this_thread::sleep_for(std::chrono::microseconds(15));
+    }
+    while (host.pending() > 0) {
+      drain_ready();
+      ASSERT_LT(std::chrono::steady_clock::now() - last_progress, kNoProgress)
+          << "round " << round << " stalled: " << delivered << " of "
+          << kRequests << " requests delivered";
+    }
+    EXPECT_EQ(delivered, kRequests);
+  }
 }
 
 // ------------------------------------------------------- TransportBackend
@@ -1559,12 +1411,12 @@ TEST(TransportBackend, RepeatedCampaignsReuseOneFleet) {
   EXPECT_EQ(transport.fleet()->rebinds(), 4u);
 }
 
-TEST(TransportBackend, CrossCheckHoldsAtEveryBatchSizeWithSigkillMidBatch) {
+TEST(TransportBackend, CrossCheckHoldsAtEveryWindowWithSigkillMidWindow) {
   SKIP_WITHOUT_TRANSPORT();
-  // The acceptance bar for batching: Transport↔Simulator bit-equality at
-  // batch sizes 1, 8, and 64, with a real SIGKILL landing mid-batch —
-  // and the worker_restarts / resubmitted counters round-tripping through
-  // the batch frames (the kill really happened, probes really moved).
+  // Transport↔Simulator bit-equality at in-flight windows of 1, 4, and
+  // 32 probes per worker, with a real SIGKILL landing mid-window — and
+  // the worker_restarts / resubmitted counters showing the kill really
+  // happened and probes really moved, never more than one window's worth.
   const auto net = transport_net(5);
   fault::CampaignConfig config;
   config.attack = fault::AttackKind::kRandomByzantine;
@@ -1577,34 +1429,27 @@ TEST(TransportBackend, CrossCheckHoldsAtEveryBatchSizeWithSigkillMidBatch) {
   theory::FepOptions fep;
   fep.mode = theory::FailureMode::kByzantine;
 
-  for (const std::size_t batch : {1u, 8u, 64u}) {
+  for (const std::size_t window : {1u, 4u, 32u}) {
     exec::SimulatorBackend simulator(net);
     exec::TransportBackendOptions options;
     options.workers = 2;
-    options.batch = batch;
-    options.pipeline_depth = 2;
-    // The batch_frames round-trip below is socket-path-specific (rings
-    // ship slots, not frames); RingSigkillMidStream covers the kill over
-    // the rings.
-    options.use_rings = false;
-    // The kill lands at request id 20 — inside a dispatched batch for
-    // every batch size — and recovers at 64.
+    options.ring_capacity = window;
+    // The kill lands at request id 20 — with probes in flight at every
+    // window — and recovers at 64.
     options.crash_script = {{0, 20, 64}};
     exec::TransportBackend transport(net, options);
     const auto check = fault::cross_check_campaign(net, counts, config, fep,
                                                    transport, simulator);
     EXPECT_EQ(check.max_divergence, 0.0)
-        << "batch " << batch << " diverged at trial "
+        << "window " << window << " diverged at trial "
         << check.divergent_trial << " probe " << check.divergent_probe;
     EXPECT_EQ(check.first.observed_max, check.second.observed_max);
-    // Counter round-trip through the batch frames: exactly one scripted
-    // kill, its unacknowledged probes resubmitted, everything completed.
+    // Exactly one scripted kill, its unacknowledged probes resubmitted,
+    // everything completed.
     const auto& report = transport.last_report();
-    EXPECT_EQ(report.worker_restarts, 1u) << "batch " << batch;
-    EXPECT_LE(report.resubmitted, options.pipeline_depth * batch);
+    EXPECT_EQ(report.worker_restarts, 1u) << "window " << window;
+    EXPECT_LE(report.resubmitted, window);
     EXPECT_EQ(report.completed, config.trials * config.probes_per_trial);
-    EXPECT_GE(report.batch_frames,
-              (config.trials * config.probes_per_trial + batch - 1) / batch);
   }
 }
 
