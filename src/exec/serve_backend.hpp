@@ -9,7 +9,7 @@
 
 #include <memory>
 
-#include "exec/backend.hpp"
+#include "exec/served_backend.hpp"
 #include "serve/pool.hpp"
 
 namespace wnf::exec {
@@ -25,33 +25,25 @@ struct ServeBackendOptions {
 };
 
 /// Wraps serve::ReplicaPool for batched, multi-worker campaign trials.
-/// run_trials builds a fresh pool per call (queue sized to the whole trial
-/// stream, request ids starting at 0) so results depend only on the trials
-/// and the options, never on what ran before. The serial install/evaluate
-/// path keeps its own single pool whose request stream advances across
-/// evaluate() calls — successive probes are successive requests.
-class ServeBackend final : public EvalBackend {
+/// run_trials builds a fresh pool per call (see ServedBackend for the
+/// stream discipline). The serial install/evaluate path keeps its own
+/// single pool whose request stream advances across evaluate() calls —
+/// successive probes are successive requests.
+class ServeBackend final : public ServedBackend<serve::ReplicaPool> {
  public:
   explicit ServeBackend(const nn::FeedForwardNetwork& net,
                         ServeBackendOptions options = {});
 
   std::string_view name() const override { return "serve"; }
-  const nn::FeedForwardNetwork& network() const override { return net_; }
-  void install(const fault::FaultPlan& plan) override;
-  void clear() override;
-  ProbeResult evaluate(std::span<const double> x) override;
   std::vector<TrialResult> run_trials(std::span<const Trial> trials) override;
 
   const ServeBackendOptions& options() const { return options_; }
 
  private:
-  serve::ReplicaPool& serial_pool();
+  std::unique_ptr<serve::ReplicaPool> make_server(
+      std::size_t queue_capacity) const override;
 
-  const nn::FeedForwardNetwork& net_;
   ServeBackendOptions options_;
-  fault::FaultPlan plan_;
-  bool plan_dirty_ = false;
-  std::unique_ptr<serve::ReplicaPool> serial_pool_;  ///< lazily spawned
 };
 
 }  // namespace wnf::exec

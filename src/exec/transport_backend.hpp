@@ -11,7 +11,7 @@
 
 #include <memory>
 
-#include "exec/backend.hpp"
+#include "exec/served_backend.hpp"
 #include "transport/host.hpp"
 
 namespace wnf::exec {
@@ -44,8 +44,8 @@ struct TransportBackendOptions {
 /// searches pay fork + network shipping once instead of per call. The
 /// serial install/evaluate path keeps a separate persistent host whose
 /// request stream advances across evaluate() calls — mirroring
-/// ServeBackend's serial pool exactly.
-class TransportBackend final : public EvalBackend {
+/// ServeBackend's serial pool exactly (both are ServedBackend).
+class TransportBackend final : public ServedBackend<transport::WorkerHost> {
  public:
   /// True when this platform can run worker processes; construction
   /// aborts otherwise.
@@ -55,10 +55,6 @@ class TransportBackend final : public EvalBackend {
                             TransportBackendOptions options = {});
 
   std::string_view name() const override { return "transport"; }
-  const nn::FeedForwardNetwork& network() const override { return net_; }
-  void install(const fault::FaultPlan& plan) override;
-  void clear() override;
-  ProbeResult evaluate(std::span<const double> x) override;
   std::vector<TrialResult> run_trials(std::span<const Trial> trials) override;
 
   const TransportBackendOptions& options() const { return options_; }
@@ -74,14 +70,10 @@ class TransportBackend final : public EvalBackend {
   const transport::WorkerHost* fleet() const { return fleet_.get(); }
 
  private:
-  transport::WorkerHost& serial_host();
-  transport::WorkerHost& campaign_fleet(std::size_t queue_capacity);
+  std::unique_ptr<transport::WorkerHost> make_server(
+      std::size_t queue_capacity) const override;
 
-  const nn::FeedForwardNetwork& net_;
   TransportBackendOptions options_;
-  fault::FaultPlan plan_;
-  bool plan_dirty_ = false;
-  std::unique_ptr<transport::WorkerHost> serial_host_;  ///< lazily spawned
   std::unique_ptr<transport::WorkerHost> fleet_;  ///< lazily spawned
   serve::ServeReport last_report_;
 };

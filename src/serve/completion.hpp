@@ -13,8 +13,8 @@
 //
 // Threading contract: any number of producer threads may push()
 // concurrently; one consumer thread calls try_pop()/pop(). reset() is a
-// consumer-side operation for rebinding a request stream whose ids restart
-// (transport::WorkerHost::rebind) and requires the queue to be empty.
+// consumer-side operation for a request stream whose ids restart
+// (serve::Frontend::restart) and requires the queue to be empty.
 #pragma once
 
 #include <condition_variable>

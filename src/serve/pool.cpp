@@ -1,7 +1,6 @@
 #include "serve/pool.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "obs/trace.hpp"
 #include "util/contract.hpp"
@@ -23,24 +22,15 @@ std::size_t resolve_replicas(std::size_t requested) {
 }  // namespace
 
 ReplicaPool::ReplicaPool(const nn::FeedForwardNetwork& net, ServeConfig config)
-    : net_(net), config_(std::move(config)), root_(config_.seed) {
-  WNF_EXPECTS(config_.queue_capacity > 0);
-  const std::size_t replicas = resolve_replicas(config_.replicas);
+    : net_(net),
+      front_("serve", "serve.rejected", config.seed, config.queue_capacity) {
+  front_.set_straggler_cut(config.straggler_cut, net_);
+  const std::size_t replicas = resolve_replicas(config.replicas);
   replicas_.reserve(replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
-    replicas_.push_back(std::make_unique<Replica>(net_, config_.sim));
+    replicas_.push_back(std::make_unique<Replica>(
+        net_, config.sim, config.latency, front_.wait_counts()));
   }
-  if (!config_.straggler_cut.empty()) {
-    WNF_EXPECTS(config_.straggler_cut.size() == net_.layer_count());
-    wait_counts_ = dist::wait_counts_from_cut(net_, config_.straggler_cut);
-  }
-  // The report derives from the registry; the hot paths cache the metric
-  // pointers once (registrations outlive the pool).
-  rejected_count_ = &metrics_.counter("serve.rejected");
-  resets_count_ = &metrics_.counter("serve.resets_sent");
-  completion_hist_ = &metrics_.histogram("serve.completion_time");
-  queue_depth_hist_ = &metrics_.histogram("serve.queue_depth");
-  trace_tag_ = obs::next_span_id() << 32;
   threads_.reserve(replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
     threads_.emplace_back([this, r] { worker_loop(r); });
@@ -58,78 +48,45 @@ ReplicaPool::~ReplicaPool() {
 }
 
 void ReplicaPool::set_timeline(FaultTimeline timeline) {
-  WNF_EXPECTS(outstanding_.load() == 0);  // workers may hold stale segments
-  timeline_ = std::move(timeline);
-  timeline_.finalize(net_);
+  front_.set_timeline(std::move(timeline), net_);
   // Segment indices from the old timeline mean nothing under the new one;
   // force every replica to re-resolve on its next request. The pipeline is
   // idle, so no worker is reading its segment concurrently.
-  for (auto& replica : replicas_) replica->segment = kNoSegment;
+  for (auto& replica : replicas_) replica->reset_segment();
 }
 
 bool ReplicaPool::submit(std::vector<double> x) {
   WNF_EXPECTS(x.size() == net_.input_dim());
-  if (outstanding_.load() >= config_.queue_capacity) {
-    rejected_count_->increment();
-    obs::instant(obs::TraceName::kShed, next_id_);
-    return false;
-  }
-  if (outstanding_.fetch_add(1) == 0) {
-    busy_start_ = std::chrono::steady_clock::now();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    dispatch_.push_back({next_id_++, std::move(x), root_.split()});
-  }
-  work_cv_.notify_one();
-  if (obs::enabled()) {
-    const std::uint64_t id = next_id_ - 1;
-    obs::async_begin(obs::TraceName::kRequest, trace_tag_ + id);
-    obs::async_begin(obs::TraceName::kQueue, trace_tag_ + id);
-    obs::counter(obs::TraceName::kQueueDepth, outstanding_.load());
-    // Sampling histograms ride the tracing switch: the report's counters
-    // are always exact, but per-request depth sampling must cost the
-    // disabled hot path nothing.
-    queue_depth_hist_->observe(static_cast<double>(outstanding_.load()));
-  }
-  return true;
+  const bool accepted =
+      front_.submit(std::move(x), [this](PendingRequest&& request) {
+        obs::async_begin(obs::TraceName::kQueue,
+                         front_.trace_tag() + request.id);
+        const std::lock_guard<std::mutex> lock(mutex_);
+        dispatch_.push_back(std::move(request));
+      });
+  if (accepted) work_cv_.notify_one();
+  return accepted;
 }
 
 std::size_t ReplicaPool::submit_batch(
     std::span<const std::vector<double>> batch) {
-  if (batch.empty()) return 0;
   for (const auto& x : batch) WNF_EXPECTS(x.size() == net_.input_dim());
   // One lock and one wake for the whole batch: at small request sizes the
   // per-request notify_one and mutex round-trips of submit() dominate the
-  // closed-loop throughput otherwise. Capacity math is race-free because
-  // the driver thread owns both submission and delivery.
-  const std::size_t accepted = std::min(
-      batch.size(), config_.queue_capacity - outstanding_.load());
-  // the rest of the batch is shed
-  rejected_count_->add(static_cast<std::int64_t>(batch.size() - accepted));
-  if (accepted == 0) return 0;
-  if (outstanding_.fetch_add(accepted) == 0) {
-    busy_start_ = std::chrono::steady_clock::now();
-  }
+  // closed-loop throughput otherwise.
+  std::size_t accepted = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < accepted; ++i) {
-      dispatch_.push_back({next_id_++, batch[i], root_.split()});
-    }
+    accepted = front_.submit_batch(batch, [this](PendingRequest&& request) {
+      obs::async_begin(obs::TraceName::kQueue,
+                       front_.trace_tag() + request.id);
+      dispatch_.push_back(std::move(request));
+    });
   }
   if (accepted >= replicas_.size()) {
     work_cv_.notify_all();
   } else {
     for (std::size_t i = 0; i < accepted; ++i) work_cv_.notify_one();
-  }
-  if (obs::enabled()) {
-    for (std::size_t i = 0; i < accepted; ++i) {
-      const std::uint64_t id = next_id_ - accepted + i;
-      obs::async_begin(obs::TraceName::kRequest, trace_tag_ + id);
-      obs::async_begin(obs::TraceName::kQueue, trace_tag_ + id);
-    }
-    obs::counter(obs::TraceName::kQueueDepth, outstanding_.load());
-    queue_depth_hist_->observe(static_cast<double>(outstanding_.load()));
   }
   return accepted;
 }
@@ -137,26 +94,13 @@ std::size_t ReplicaPool::submit_batch(
 RequestResult ReplicaPool::process(Replica& replica,
                                    const PendingRequest& request) {
   // The queue span ends where execution begins; the execute span is the
-  // simulator evaluation itself, on this replica's thread.
-  obs::async_end(obs::TraceName::kQueue, trace_tag_ + request.id);
+  // replica step itself, on this replica's thread.
+  obs::async_end(obs::TraceName::kQueue, front_.trace_tag() + request.id);
   const obs::ScopedSpan span(obs::TraceName::kExecute, request.id);
-  const std::size_t segment = timeline_.segment_at(request.id);
-  if (segment != replica.segment) {
-    const auto& plan = timeline_.segment_plan(segment);
-    if (plan.empty()) {
-      replica.sim.clear_faults();
-    } else {
-      replica.sim.apply_faults(plan);
-    }
-    replica.segment = segment;
-  }
-  Rng request_rng = request.rng;
-  replica.sim.sample_latencies(config_.latency, request_rng);
-  const dist::SimResult sim_result =
-      wait_counts_.empty()
-          ? replica.sim.evaluate(request.x)
-          : replica.sim.evaluate_boosted(
-                request.x, {wait_counts_.data(), wait_counts_.size()});
+  const FaultTimeline& timeline = front_.timeline();
+  const std::size_t segment = timeline.segment_at(request.id);
+  const dist::SimResult sim_result = replica.step(
+      segment, timeline.segment_plan(segment), request.x, request.rng);
   return {request.id, sim_result.output, sim_result.completion_time,
           sim_result.resets_sent};
 }
@@ -188,62 +132,19 @@ void ReplicaPool::worker_loop(std::size_t r) {
     }
     // Every claimed request is flushed before the worker can sleep again,
     // so the consumer never waits on a result a parked worker is holding.
-    completions_.push_many(finished);
+    front_.completions().push_many(finished);
     obs::instant(obs::TraceName::kCompletionPush, r, finished.size());
   }
 }
 
-void ReplicaPool::delivered(const RequestResult& result) {
-  completion_.add(result.completion_time);
-  resets_count_->add(static_cast<std::int64_t>(result.resets_sent));
-  if (obs::enabled()) {
-    completion_hist_->observe(result.completion_time);
-    obs::instant(obs::TraceName::kDeliver, result.id);
-    obs::async_end(obs::TraceName::kRequest, trace_tag_ + result.id);
-  }
-  if (outstanding_.fetch_sub(1) == 1) {
-    // The pipeline just went idle: close the busy interval that opened at
-    // the first submit into an idle pipeline.
-    wall_seconds_ += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - busy_start_)
-                         .count();
-  }
-}
+bool ReplicaPool::poll(RequestResult& out) { return front_.poll(out); }
 
-bool ReplicaPool::poll(RequestResult& out) {
-  if (!completions_.try_pop(out)) return false;
-  delivered(out);
-  return true;
-}
+RequestResult ReplicaPool::wait() { return front_.wait(); }
 
-RequestResult ReplicaPool::wait() {
-  WNF_EXPECTS(outstanding_.load() > 0);
-  RequestResult out = completions_.pop();
-  delivered(out);
-  return out;
-}
-
-std::vector<RequestResult> ReplicaPool::drain() {
-  std::vector<RequestResult> results;
-  results.reserve(outstanding_.load());
-  // Bulk-pop whatever is consecutively ready per wake instead of paying a
-  // queue lock per result — the consumer-side mirror of the workers'
-  // push_many.
-  while (outstanding_.load() > 0) {
-    const std::size_t at = results.size();
-    completions_.pop_ready(results);
-    for (std::size_t i = at; i < results.size(); ++i) delivered(results[i]);
-  }
-  return results;
-}
+std::vector<RequestResult> ReplicaPool::drain() { return front_.drain(); }
 
 ServeReport ReplicaPool::report() const {
-  ServeReport report;
-  report.rejected = static_cast<std::size_t>(rejected_count_->value());
-  report.replicas = replicas_.size();
-  finalize_completion_stats(report, completion_, wall_seconds_);
-  report.resets_sent = static_cast<std::size_t>(resets_count_->value());
-  return report;
+  return front_.report(replicas_.size());
 }
 
 }  // namespace wnf::serve

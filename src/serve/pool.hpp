@@ -1,22 +1,13 @@
 // Fault-aware serving runtime over the message-level simulator: the repo's
 // step from "replay one request on one thread" to the ROADMAP's
-// heavy-traffic deployment. A NetworkSimulator is documented not
-// thread-safe, so the scaling unit is the *replica*: one simulator per
-// worker thread, each with its own preallocated workspaces, fed from a
-// shared dispatch queue the moment a request is accepted.
-//
-// Determinism contract: every accepted request gets a child Rng split off
-// the pool's root stream at submission, and its fault state comes from the
-// FaultTimeline by request id. A request's result is therefore a pure
-// function of (seed, id, input, timeline) — bit-identical whatever the
-// replica count or scheduling, which is what makes a parallel serving run
-// auditable against a sequential one. Cut stragglers always reset to zero
-// (the Corollary-2 semantics the certificate covers); hold-last would make
-// results depend on which replica served the previous request.
+// heavy-traffic deployment. The pool is one of the two executors behind
+// serve::Frontend — that front owns admission, ids, Rng splits, the fault
+// timeline and delivery, and with them the determinism contract (see
+// serve/frontend.hpp). The pool owns only how accepted requests execute:
+// worker threads, one serve::Replica each, fed from a shared dispatch queue
+// the moment a request is accepted.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -26,15 +17,13 @@
 #include <thread>
 #include <vector>
 
-#include "dist/boosting.hpp"
 #include "dist/latency.hpp"
 #include "dist/sim.hpp"
 #include "obs/metrics.hpp"
-#include "serve/completion.hpp"
+#include "serve/frontend.hpp"
+#include "serve/replica.hpp"
 #include "serve/report.hpp"
 #include "serve/timeline.hpp"
-#include "util/histogram.hpp"
-#include "util/stats.hpp"
 
 namespace wnf::serve {
 
@@ -54,9 +43,6 @@ struct ServeConfig {
   std::uint64_t seed = 0x5eed;  ///< root of the per-request Rng::split tree
 };
 
-// RequestResult and ServeReport live in serve/report.hpp, shared with the
-// multi-process transport::WorkerHost.
-
 /// A pool of simulator replicas serving batched traffic through an
 /// asynchronous submission/completion pipeline.
 ///
@@ -69,10 +55,7 @@ struct ServeConfig {
 /// once. Workers push finished results into a CompletionQueue, which
 /// merges them back into request-id order; poll()/wait() are the
 /// completion primitives and drain() is a thin wrapper that waits out
-/// every outstanding request. Because delivery is in id order and every
-/// result is a pure function of (seed, id, input, timeline), the
-/// asynchronous pipeline is bit-identical to the synchronous drain it
-/// replaced at any replica count. set_timeline() requires an idle pipeline
+/// every outstanding request. set_timeline() requires an idle pipeline
 /// (no outstanding requests): a timeline swap mid-flight would race the
 /// workers' segment installs.
 class ReplicaPool {
@@ -92,99 +75,42 @@ class ReplicaPool {
   /// pipeline: every submitted request delivered (pending() == 0).
   void set_timeline(FaultTimeline timeline);
 
-  /// Submits one request to the pipeline; workers may start executing it
-  /// immediately. Returns false (and counts a rejection) when
-  /// `queue_capacity` requests are already outstanding; the request id and
-  /// Rng split are only consumed on acceptance, so shed load never
-  /// perturbs accepted results.
+  /// Admission through the front (Frontend::submit / submit_batch);
+  /// workers may start executing an accepted request immediately.
   bool submit(std::vector<double> x);
-
-  /// Submits a batch in order; returns how many were accepted (a prefix —
-  /// once one is shed, the rest of the batch is too).
   std::size_t submit_batch(std::span<const std::vector<double>> batch);
 
-  /// Delivers the next result in id order if it has completed; never
-  /// blocks. False means that request is still executing (later ids may
-  /// have finished — they are held until the stream is gap-free).
+  /// Delivery through the front (Frontend::poll / wait / drain).
   bool poll(RequestResult& out);
-
-  /// Blocks until the next result in id order completes, then delivers
-  /// it. Requires at least one outstanding request.
   RequestResult wait();
-
-  /// Compatibility wrapper over the async pipeline: waits out every
-  /// outstanding request and returns the results in id order — exactly
-  /// what the synchronous drain served, bit for bit.
   std::vector<RequestResult> drain();
 
-  /// Throughput and completion-time statistics over everything delivered
-  /// so far.
   ServeReport report() const;
 
   std::size_t replica_count() const { return replicas_.size(); }
   /// This deployment's metric registry (counters and latency histograms
   /// the report derives from) — live, for the metrics JSON exporter.
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return front_.metrics(); }
   /// Requests accepted and not yet delivered through poll()/wait().
-  std::size_t pending() const { return outstanding_.load(); }
-  std::uint64_t next_request_id() const { return next_id_; }
+  std::size_t pending() const { return front_.pending(); }
+  std::uint64_t next_request_id() const { return front_.next_id(); }
   const nn::FeedForwardNetwork& network() const { return net_; }
 
  private:
-  /// One worker's serving state: a simulator plus the timeline segment it
-  /// currently has installed (so consecutive requests in the same segment
-  /// skip the plan re-install).
-  struct Replica {
-    explicit Replica(const nn::FeedForwardNetwork& net,
-                     const dist::SimConfig& config)
-        : sim(net, config) {}
-    dist::NetworkSimulator sim;
-    std::size_t segment = kNoSegment;
-  };
-  static constexpr std::size_t kNoSegment = ~std::size_t{0};
-
-  struct PendingRequest {
-    std::uint64_t id = 0;
-    std::vector<double> x;
-    Rng rng;  ///< child stream split off at submission
-  };
-
   RequestResult process(Replica& replica, const PendingRequest& request);
   void worker_loop(std::size_t r);
-  void delivered(const RequestResult& result);
 
   const nn::FeedForwardNetwork& net_;
-  ServeConfig config_;
-  FaultTimeline timeline_;
+  Frontend front_;
   std::vector<std::unique_ptr<Replica>> replicas_;
-  std::vector<std::size_t> wait_counts_;  ///< size L+1; empty = full waits
-  Rng root_;
-  std::uint64_t next_id_ = 0;
 
-  // The async pipeline: driver-side dispatch queue feeding the worker
-  // threads, worker-side completion queue feeding the driver.
+  // Driver-side dispatch queue feeding the worker threads; they push
+  // finished results into the front's completion queue.
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::deque<PendingRequest> dispatch_;
   bool stopping_ = false;
   std::vector<std::thread> threads_;
-  CompletionQueue completions_;
-  std::atomic<std::size_t> outstanding_{0};  ///< accepted - delivered
-
-  // Aggregates over every delivery (id order, so deterministic). The
-  // counters live in the metrics registry (report() derives from it);
-  // completion times keep exact samples for the pinned report quantiles.
-  // All touched by the driver thread only.
-  std::chrono::steady_clock::time_point busy_start_{};
-  SampleHistogram completion_;
-  obs::MetricsRegistry metrics_;
-  obs::Counter* rejected_count_ = nullptr;
-  obs::Counter* resets_count_ = nullptr;
-  obs::LogHistogram* completion_hist_ = nullptr;
-  obs::LogHistogram* queue_depth_hist_ = nullptr;
-  double wall_seconds_ = 0.0;
-  /// High bits of this deployment's async trace ids (request-id low bits).
-  std::uint64_t trace_tag_ = 0;
 };
 
 }  // namespace wnf::serve

@@ -179,39 +179,6 @@ void gemv_transposed(const Matrix& a, std::span<const double> x,
   }
 }
 
-void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
-  WNF_EXPECTS(a.cols() == b.rows());
-  c = Matrix(a.rows(), b.cols());
-  // i-k-j loop order keeps the inner loop contiguous in both B and C.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const auto a_row = a.row(i);
-    const auto c_row = c.row(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a_row[k];
-      if (aik == 0.0) continue;
-      const auto b_row = b.row(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) c_row[j] += aik * b_row[j];
-    }
-  }
-}
-
-void gemv_parallel(ThreadPool& pool, const Matrix& a,
-                   std::span<const double> x, std::span<double> y) {
-  WNF_EXPECTS(x.size() == a.cols());
-  WNF_EXPECTS(y.size() == a.rows());
-  // Below ~64k multiply-adds the fork/join overhead dominates.
-  if (pool.size() <= 1 || a.rows() * a.cols() < 65536) {
-    gemv(a, x, y);
-    return;
-  }
-  parallel_for(pool, 0, a.rows(), [&](std::size_t r) {
-    const auto row = a.row(r);
-    double sum = 0.0;
-    for (std::size_t c = 0; c < row.size(); ++c) sum += row[c] * x[c];
-    y[r] = sum;
-  });
-}
-
 void rank1_update(Matrix& a, double alpha, std::span<const double> x,
                   std::span<const double> y) {
   WNF_EXPECTS(x.size() == a.rows());

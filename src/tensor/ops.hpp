@@ -1,8 +1,8 @@
-// Dense kernels used by the forward/backward passes. gemv is the hot path
-// (one per layer per input); gemm backs mini-batch training. Both have
-// cache-blocked serial cores plus pool-parallel variants for wide layers.
-// gemv_lanes / gemv_csr_lanes are the across-probe batched twins of the
-// forward kernels (see kLanes for the lane invariant).
+// Dense kernels used by the forward/backward passes. gemv (and its
+// CSR-masked twin gemv_csr) is the hot path, one per layer per input;
+// gemv_transposed and rank1_update carry backprop. gemv_lanes /
+// gemv_csr_lanes are the across-probe batched twins of the forward kernels
+// (see kLanes for the lane invariant).
 #pragma once
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "tensor/matrix.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wnf {
 
@@ -96,14 +95,6 @@ void for_each_lane_block(std::size_t n, Block&& block, Single&& single) {
 /// Requires x.size() == A.rows() and y.size() == A.cols().
 void gemv_transposed(const Matrix& a, std::span<const double> x,
                      std::span<double> y);
-
-/// C = A * B. Requires a.cols() == b.rows(); resizes c to a.rows() x b.cols().
-void gemm(const Matrix& a, const Matrix& b, Matrix& c);
-
-/// Pool-parallel y = A * x, chunked over rows. Deterministic (each row is
-/// written by exactly one task). Falls back to serial for small matrices.
-void gemv_parallel(ThreadPool& pool, const Matrix& a,
-                   std::span<const double> x, std::span<double> y);
 
 /// A += alpha * x * y^T (rank-1 update; the backprop weight-gradient step).
 void rank1_update(Matrix& a, double alpha, std::span<const double> x,

@@ -17,7 +17,6 @@
 #include <sstream>
 #include <thread>
 
-#include "dist/boosting.hpp"
 #include "nn/serialize.hpp"
 #include "obs/trace.hpp"
 #include "transport/codec.hpp"
@@ -37,8 +36,12 @@ WorkerHost::WorkerHost(const nn::FeedForwardNetwork& net,
 
 // Stub that builds everywhere: construction aborts, available() says why.
 bool WorkerHost::available() { return false; }
-WorkerHost::WorkerHost(const nn::FeedForwardNetwork* net, TransportConfig)
-    : net_(net) {
+WorkerHost::WorkerHost(const nn::FeedForwardNetwork* net,
+                       TransportConfig config)
+    : net_(net),
+      config_(std::move(config)),
+      front_("transport", "transport.shed", config_.seed,
+             config_.queue_capacity) {
   WNF_EXPECTS(false && "transport needs POSIX fork/socketpair");
 }
 WorkerHost::~WorkerHost() = default;
@@ -112,28 +115,26 @@ bool WorkerHost::available() { return transport_available(); }
 
 WorkerHost::WorkerHost(const nn::FeedForwardNetwork* net,
                        TransportConfig config)
-    : net_(net), config_(std::move(config)), root_(config_.seed) {
+    : net_(net),
+      config_(std::move(config)),
+      front_("transport", "transport.shed", config_.seed,
+             config_.queue_capacity) {
   WNF_EXPECTS(available());
-  WNF_EXPECTS(config_.queue_capacity > 0);
   WNF_EXPECTS(config_.ring_capacity > 0);
   if (config_.workers == 0) {
     config_.workers =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  // The report and accessors derive from the registry; the hot paths
-  // cache the metric pointers once (registrations outlive the host).
-  shed_count_ = &metrics_.counter("transport.shed");
-  resets_count_ = &metrics_.counter("transport.resets_sent");
-  resubmitted_count_ = &metrics_.counter("transport.resubmitted");
-  restarts_count_ = &metrics_.counter("transport.worker_restarts");
-  ring_slots_count_ = &metrics_.counter("transport.ring_slots_written");
-  ring_doorbells_count_ = &metrics_.counter("transport.ring_doorbells");
-  ring_torn_count_ = &metrics_.counter("transport.ring_torn_recovered");
-  ring_spin_count_ = &metrics_.counter("transport.ring_spin_wakeups");
-  ring_sleep_count_ = &metrics_.counter("transport.ring_sleep_wakeups");
-  completion_hist_ = &metrics_.histogram("transport.completion_time");
-  queue_depth_hist_ = &metrics_.histogram("transport.queue_depth");
-  trace_tag_ = obs::next_span_id() << 32;
+  // The report and accessors derive from the front's registry; the hot
+  // paths cache the metric pointers once (registrations outlive the host).
+  obs::MetricsRegistry& metrics = front_.metrics();
+  resubmitted_count_ = &metrics.counter("transport.resubmitted");
+  restarts_count_ = &metrics.counter("transport.worker_restarts");
+  ring_slots_count_ = &metrics.counter("transport.ring_slots_written");
+  ring_doorbells_count_ = &metrics.counter("transport.ring_doorbells");
+  ring_torn_count_ = &metrics.counter("transport.ring_torn_recovered");
+  ring_spin_count_ = &metrics.counter("transport.ring_spin_wakeups");
+  ring_sleep_count_ = &metrics.counter("transport.ring_sleep_wakeups");
   workers_.resize(config_.workers);
   health_ = std::make_unique<WorkerHealth[]>(workers_.size());
   if (!config_.postmortem_dir.empty()) {
@@ -143,10 +144,7 @@ WorkerHost::WorkerHost(const nn::FeedForwardNetwork* net,
   }
   std::size_t slot_doubles = kMinSlotDoubles;
   if (net_ != nullptr) {
-    if (!config_.straggler_cut.empty()) {
-      WNF_EXPECTS(config_.straggler_cut.size() == net_->layer_count());
-      wait_counts_ = dist::wait_counts_from_cut(*net_, config_.straggler_cut);
-    }
+    front_.set_straggler_cut(config_.straggler_cut, *net_);
     refresh_control_frames();
     slot_doubles = std::max(slot_doubles, net_->input_dim());
   }
@@ -167,7 +165,7 @@ void WorkerHost::map_rings(std::size_t slot_doubles) {
 void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
                         RebindOptions options) {
   // No traffic may straddle the swap: everything accepted was delivered.
-  WNF_EXPECTS(outstanding_ == 0);
+  WNF_EXPECTS(front_.pending() == 0);
   WNF_ASSERT(queue_.empty() && inflight_.empty() && resubmit_.empty());
   net_ = &net;
   if (options.seed) config_.seed = *options.seed;
@@ -175,21 +173,15 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
     config_.straggler_cut = std::move(*options.straggler_cut);
   }
   if (options.queue_capacity) {
-    WNF_EXPECTS(*options.queue_capacity > 0);
     config_.queue_capacity = *options.queue_capacity;
   }
-  wait_counts_.clear();
-  if (!config_.straggler_cut.empty()) {
-    WNF_EXPECTS(config_.straggler_cut.size() == net_->layer_count());
-    wait_counts_ = dist::wait_counts_from_cut(*net_, config_.straggler_cut);
-  }
+  front_.set_straggler_cut(config_.straggler_cut, *net_);
   // Fresh logical deployment: ids restart at 0 on a reseeded root stream,
-  // with no timeline and no crash script carried over.
-  timeline_ = serve::FaultTimeline{};
+  // with no timeline and no crash script carried over, and the report
+  // starts over (rebinds_ is lifetime): every per-deployment metric zeroes
+  // in place, cached pointers intact.
+  front_.restart(config_.seed, config_.queue_capacity);
   script_.clear();
-  root_.reseed(config_.seed);
-  next_id_ = 0;
-  completions_.reset(0);
   deaths_without_progress_ = 0;
   // Live workers swap state atomically via one kRebind frame, built from
   // the cached control payloads (the network serializes once per content
@@ -222,18 +214,14 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
       spawn(w);
     }
   }
-  // The report starts over with the deployment (rebinds_ is lifetime):
-  // every per-deployment metric zeroes in place, cached pointers intact.
-  completion_.clear();
-  metrics_.reset();
-  wall_seconds_ = 0.0;
   ++rebinds_;
-  trace_tag_ = obs::next_span_id() << 32;
   obs::instant(obs::TraceName::kRebindEvent, rebinds_);
   if (postmortem_) {
     // The registry just reset; stale flush baselines would make every
     // postmortem delta negative for the rest of the deployment.
-    for (auto& worker : workers_) worker.flush_base = metrics_.snapshot();
+    for (auto& worker : workers_) {
+      worker.flush_base = front_.metrics().snapshot();
+    }
   }
   publish_health();
 }
@@ -378,7 +366,7 @@ void WorkerHost::spawn(std::size_t w) {
   ++total_spawns_;
   if (postmortem_) {
     // A fresh process starts a fresh flush window for its postmortem.
-    worker.flush_base = metrics_.snapshot();
+    worker.flush_base = front_.metrics().snapshot();
     note_worker_event(w, obs::TraceName::kRespawn, w,
                       static_cast<std::uint64_t>(pid));
   }
@@ -397,7 +385,8 @@ BindMsg WorkerHost::make_bind() const {
   bind.network_text = text.str();
   bind.sim = config_.sim;
   bind.latency = config_.latency;
-  bind.wait_counts.assign(wait_counts_.begin(), wait_counts_.end());
+  bind.wait_counts.assign(front_.wait_counts().begin(),
+                          front_.wait_counts().end());
   return bind;
 }
 
@@ -417,7 +406,7 @@ void WorkerHost::refresh_control_frames(bool refresh_bind) {
     }
   }
   {
-    auto payload = Codec::encode_segments(make_segments(timeline_));
+    auto payload = Codec::encode_segments(make_segments(front_.timeline()));
     if (payload != segments_payload_) {
       segments_frame_ = Codec::encode(MessageType::kSegments, payload);
       segments_payload_ = std::move(payload);
@@ -465,11 +454,9 @@ void WorkerHost::enqueue_segments(WorkerState& worker) {
 
 void WorkerHost::set_timeline(serve::FaultTimeline timeline) {
   WNF_EXPECTS(bound());
-  // Workers resolve segments per request; swapping the segment table while
-  // requests are in flight would race their installs.
-  WNF_EXPECTS(outstanding_ == 0);
-  timeline_ = std::move(timeline);
-  timeline_.finalize(*net_);
+  // Workers resolve segments per request; the front refuses a swap while
+  // requests are in flight, which would race their installs.
+  front_.set_timeline(std::move(timeline), *net_);
   refresh_control_frames(/*refresh_bind=*/false);
   for (auto& worker : workers_) {
     // A timeline identical to what the worker already applied (common in
@@ -493,40 +480,18 @@ void WorkerHost::set_crash_script(std::vector<CrashWindow> script) {
 bool WorkerHost::submit(std::vector<double> x) {
   WNF_EXPECTS(bound());
   WNF_EXPECTS(x.size() == net_->input_dim());
-  if (outstanding_ >= config_.queue_capacity) {
-    shed_count_->increment();
-    obs::instant(obs::TraceName::kShed, next_id_);
-    return false;
-  }
-  if (outstanding_++ == 0) {
-    busy_start_ = std::chrono::steady_clock::now();
-  }
-  queue_.push_back({next_id_++, std::move(x), root_.split()});
-  if (obs::enabled()) {
-    const std::uint64_t id = next_id_ - 1;
-    obs::async_begin(obs::TraceName::kRequest, trace_tag_ + id);
-    obs::counter(obs::TraceName::kQueueDepth, outstanding_);
-    // Sampling histograms ride the tracing switch: the report's counters
-    // are always exact, but per-request depth/latency sampling must cost
-    // the disabled hot path nothing.
-    queue_depth_hist_->observe(static_cast<double>(outstanding_));
-  }
-  return true;
+  return front_.submit(std::move(x), [this](serve::PendingRequest&& request) {
+    queue_.push_back(std::move(request));
+  });
 }
 
 std::size_t WorkerHost::submit_batch(
     std::span<const std::vector<double>> batch) {
-  std::size_t accepted = 0;
-  for (const auto& x : batch) {
-    if (!submit(x)) {
-      // shed the rest of the batch
-      shed_count_->add(
-          static_cast<std::int64_t>(batch.size() - accepted - 1));
-      break;
-    }
-    ++accepted;
-  }
-  return accepted;
+  WNF_EXPECTS(bound());
+  for (const auto& x : batch) WNF_EXPECTS(x.size() == net_->input_dim());
+  return front_.submit_batch(batch, [this](serve::PendingRequest&& request) {
+    queue_.push_back(std::move(request));
+  });
 }
 
 std::size_t WorkerHost::alive_workers() const {
@@ -552,7 +517,7 @@ void WorkerHost::publish_health() {
     health_[w].alive.store(worker.alive, std::memory_order_relaxed);
   }
   health_delivered_.store(delivered_total_, std::memory_order_relaxed);
-  health_outstanding_.store(outstanding_, std::memory_order_relaxed);
+  health_outstanding_.store(front_.pending(), std::memory_order_relaxed);
 }
 
 std::uint64_t WorkerHost::health_progress(std::size_t w) const {
@@ -618,7 +583,8 @@ void WorkerHost::write_postmortem(std::size_t w, bool expected,
   record.inflight_ids.assign(worker.inflight.begin(), worker.inflight.end());
   record.recent.assign(worker.recent.begin(), worker.recent.end());
   record.counter_deltas =
-      obs::postmortem_counter_deltas(metrics_.snapshot(), worker.flush_base);
+      obs::postmortem_counter_deltas(front_.metrics().snapshot(),
+                                     worker.flush_base);
   (void)postmortem_->write(record);
 }
 
@@ -658,7 +624,7 @@ void WorkerHost::worker_died(std::size_t w, bool expected) {
   for (const std::uint64_t id : worker.inflight) {
     // The wire span this probe opened at dispatch ends with the worker
     // (value 1 marks an aborted hop); the resubmission opens a fresh one.
-    obs::async_end(obs::TraceName::kWire, trace_tag_ + id, 1);
+    obs::async_end(obs::TraceName::kWire, front_.trace_tag() + id, 1);
     obs::instant(obs::TraceName::kResubmit, id, w);
     insert_sorted(resubmit_, id);
   }
@@ -770,7 +736,7 @@ void WorkerHost::dispatch() {
     if (target == workers_.size()) break;  // every window is full
 
     std::uint64_t id = 0;
-    const PendingRequest* request = nullptr;
+    const serve::PendingRequest* request = nullptr;
     if (!resubmit_.empty()) {
       id = resubmit_.front();
       resubmit_.erase(resubmit_.begin());
@@ -781,7 +747,7 @@ void WorkerHost::dispatch() {
       // picked target, in which case re-target).
       run_crash_script(queue_.front().id);
       if (!workers_[target].alive) continue;
-      PendingRequest pending = std::move(queue_.front());
+      serve::PendingRequest pending = std::move(queue_.front());
       queue_.pop_front();
       id = pending.id;
       request = &inflight_.emplace(id, std::move(pending)).first->second;
@@ -793,7 +759,8 @@ void WorkerHost::dispatch() {
     WNF_ASSERT(slot != nullptr);
     slot->id = id;
     slot->epoch = worker.epoch;
-    slot->segment = static_cast<std::uint32_t>(timeline_.segment_at(id));
+    slot->segment =
+        static_cast<std::uint32_t>(front_.timeline().segment_at(id));
     slot->x_count = static_cast<std::uint32_t>(request->x.size());
     slot->flags = 0;
     if (id == config_.debug_tear_result_at && !tear_fired_) {
@@ -807,7 +774,7 @@ void WorkerHost::dispatch() {
     worker.ring_dispatched = true;
     ring_slots_count_->increment();
     if (obs::enabled()) {
-      obs::async_begin(obs::TraceName::kWire, trace_tag_ + id, target);
+      obs::async_begin(obs::TraceName::kWire, front_.trace_tag() + id, target);
       obs::counter(obs::TraceName::kInflightFrames, worker.inflight.size());
     }
   }
@@ -888,7 +855,7 @@ void WorkerHost::service_worker(std::size_t w, bool readable, bool writable) {
     }
     if (postmortem_) {
       // A flush resets the "deltas since last flush" postmortem window.
-      worker.flush_base = metrics_.snapshot();
+      worker.flush_base = front_.metrics().snapshot();
       note_worker_event(w, obs::TraceName::kWorkerFlush, 0,
                         frame.payload.size());
     }
@@ -925,8 +892,8 @@ bool WorkerHost::harvest_result_ring(std::size_t w, std::size_t& harvested) {
       worker.inflight.erase(inflight);
     }
     inflight_.erase(request);
-    obs::async_end(obs::TraceName::kWire, trace_tag_ + id);
-    completions_.push({id, slot->output, slot->completion_time,
+    obs::async_end(obs::TraceName::kWire, front_.trace_tag() + id);
+    front_.completions().push({id, slot->output, slot->completion_time,
                        static_cast<std::size_t>(slot->resets_sent)});
     worker.rings->pop_result();
     deaths_without_progress_ = 0;
@@ -962,7 +929,7 @@ bool WorkerHost::spin_for_results() {
 
 void WorkerHost::pump(bool block) {
   const std::uint64_t frontier =
-      queue_.empty() ? next_id_ : queue_.front().id;
+      queue_.empty() ? front_.next_id() : queue_.front().id;
   run_crash_script(frontier);
 
   // The deployment must never deadlock: if work is pending and every
@@ -1054,72 +1021,43 @@ void WorkerHost::pump(bool block) {
   publish_health();
 }
 
-void WorkerHost::delivered(const serve::RequestResult& result) {
-  completion_.add(result.completion_time);
-  resets_count_->add(static_cast<std::int64_t>(result.resets_sent));
-  if (obs::enabled()) {
-    completion_hist_->observe(result.completion_time);
-    obs::async_end(obs::TraceName::kRequest, trace_tag_ + result.id);
-    obs::counter(obs::TraceName::kQueueDepth, outstanding_ - 1);
-  }
-  WNF_ASSERT(outstanding_ > 0);
+bool WorkerHost::deliver(serve::RequestResult& out) {
+  if (!front_.poll(out)) return false;
   ++delivered_total_;
-  if (--outstanding_ == 0) {
-    // The pipeline just went idle: close the busy interval that opened at
-    // the first submit into an idle pipeline.
-    wall_seconds_ += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - busy_start_)
-                         .count();
-    // And disarm the watchdog: an idle fleet has no stall deadline, and
-    // the driver may not pump again for a long time.
-    publish_health();
-  }
+  // An idle fleet disarms the watchdog: it has no stall deadline, and the
+  // driver may not pump again for a long time.
+  if (front_.pending() == 0) publish_health();
+  return true;
 }
 
 bool WorkerHost::poll(serve::RequestResult& out) {
   WNF_EXPECTS(bound());
-  if (completions_.try_pop(out)) {
-    delivered(out);
-    return true;
-  }
-  if (outstanding_ == 0) return false;
+  if (deliver(out)) return true;
+  if (front_.pending() == 0) return false;
   pump(/*block=*/false);
-  if (completions_.try_pop(out)) {
-    delivered(out);
-    return true;
-  }
-  return false;
+  return deliver(out);
 }
 
 serve::RequestResult WorkerHost::wait() {
   WNF_EXPECTS(bound());
-  WNF_EXPECTS(outstanding_ > 0);
+  WNF_EXPECTS(front_.pending() > 0);
   serve::RequestResult out;
-  while (!completions_.try_pop(out)) pump(/*block=*/true);
-  delivered(out);
+  while (!deliver(out)) pump(/*block=*/true);
   return out;
 }
 
 std::vector<serve::RequestResult> WorkerHost::drain() {
   WNF_EXPECTS(bound());
   std::vector<serve::RequestResult> results;
-  results.reserve(outstanding_);
-  while (outstanding_ > 0) results.push_back(wait());
+  results.reserve(front_.pending());
+  while (front_.pending() > 0) results.push_back(wait());
   return results;
 }
 
 serve::ServeReport WorkerHost::report() const {
-  serve::ServeReport report;
-  const std::size_t shed = static_cast<std::size_t>(counter_value(shed_count_));
-  report.rejected = shed;  // parity with ReplicaPool consumers
-  report.shed = shed;
-  report.replicas = workers_.size();
-  serve::finalize_completion_stats(report, completion_, wall_seconds_);
-  report.resets_sent = static_cast<std::size_t>(counter_value(resets_count_));
-  report.resubmitted =
-      static_cast<std::size_t>(counter_value(resubmitted_count_));
-  report.worker_restarts =
-      static_cast<std::size_t>(counter_value(restarts_count_));
+  serve::ServeReport report = front_.report(workers_.size());
+  report.resubmitted = counter_value(resubmitted_count_);
+  report.worker_restarts = counter_value(restarts_count_);
   report.rebinds = rebinds_;
   return report;
 }

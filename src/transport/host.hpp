@@ -5,25 +5,18 @@
 // worker's in-flight requests to the survivors, and respawns the worker at
 // the recovery boundary.
 //
-// The API deliberately mirrors serve::ReplicaPool (set_timeline / submit /
-// poll / wait / drain / report): the WorkerHost is the same serving
-// deployment one abstraction layer lower, with threads replaced by
-// processes: probes cross the process boundary through per-worker
-// shared-memory rings, and a socketpair per worker carries the
-// transport::Codec control frames and the rings' doorbell bytes.
-//
-// Determinism contract, inherited from the pool: every accepted request
-// gets a child Rng split off the host's root stream at submission, and its
-// fault state comes from the FaultTimeline by request id. The child's raw
-// state ships inside the request slot, so a request's result is a pure
-// function of (seed, id, input, timeline) — bit-identical to the
-// in-process ReplicaPool whatever the worker count, the dispatch
-// interleaving, or which workers died along the way. Worker deaths move
-// *where* a request is computed, never *what* it computes.
+// The WorkerHost is the second executor behind serve::Frontend, with
+// threads replaced by processes: the front owns admission, ids, Rng
+// splits, the fault timeline and delivery — and with them the determinism
+// contract (see serve/frontend.hpp) — while the host owns only how
+// accepted requests execute. Probes cross the process boundary through
+// per-worker shared-memory rings, each slot carrying the request's split
+// Rng state; a socketpair per worker carries the transport::Codec control
+// frames and the rings' doorbell bytes. Worker deaths move *where* a
+// request is computed, never *what* it computes.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -39,12 +32,10 @@
 #include "obs/postmortem.hpp"
 #include "transport/codec.hpp"
 #include "transport/ring.hpp"
-#include "serve/completion.hpp"
+#include "serve/frontend.hpp"
 #include "serve/report.hpp"
 #include "serve/timeline.hpp"
 #include "util/contract.hpp"
-#include "util/histogram.hpp"
-#include "util/rng.hpp"
 
 namespace wnf::transport {
 
@@ -113,16 +104,13 @@ struct CrashWindow {
 /// drain / set_timeline / report; the host is not thread-safe across
 /// drivers, and it owns no threads of its own — parallelism lives across
 /// the worker processes. Progress happens inside a nonblocking *pump*
-/// that submit (opportunistically), poll, wait, and drain all share:
-/// each pump runs the crash script, dispatches queued requests into the
-/// rings of workers with window room, flushes sockets, and harvests
-/// finished results into
-/// a serve::CompletionQueue that merges them back into id order. Because
+/// that poll, wait, and drain share: each pump runs the crash script,
+/// dispatches queued requests into the rings of workers with window room,
+/// flushes sockets, and harvests finished results into the front's
+/// completion queue, which merges them back into id order. Because
 /// submission never blocks on execution and poll() never blocks at all,
 /// one driver thread can keep several fleets saturated at once by
-/// interleaving their pumps. Results delivered through poll()/wait() are
-/// bit-identical to the synchronous drain they replaced (drain() remains
-/// as a wrapper that waits out every outstanding request).
+/// interleaving their pumps.
 ///
 /// A host is a *reusable fleet*: workers are forked once at construction
 /// and survive across campaigns — rebind() swaps the network, cut, seed,
@@ -176,39 +164,25 @@ class WorkerHost {
   /// state; fresh windows apply from the current dispatch frontier on.
   void set_crash_script(std::vector<CrashWindow> script);
 
-  /// Submits one request to the pipeline; the dispatcher may ship it to a
-  /// worker before this call returns, but never blocks on execution.
-  /// Returns false (and counts a shed) when `queue_capacity` requests are
-  /// already outstanding; the request id and Rng split are only consumed
-  /// on acceptance, so shed load never perturbs accepted results.
+  /// Admission through the front (serve::Frontend::submit /
+  /// submit_batch); the host queues accepted requests for the next pump
+  /// and never blocks on execution.
   bool submit(std::vector<double> x);
-
-  /// Submits a batch in order; returns how many were accepted (a prefix —
-  /// once one is shed, the rest of the batch is too).
   std::size_t submit_batch(std::span<const std::vector<double>> batch);
 
-  /// Pumps the pipeline without blocking and delivers the next result in
-  /// id order if it has completed. False means that request is still in
-  /// flight (later ids may have finished — they are held until the stream
-  /// is gap-free).
+  /// Delivery through the front, pumping the pipeline (crash script
+  /// included) while a result is outstanding: poll() pumps once without
+  /// blocking, wait() until the next id arrives, drain() until every
+  /// outstanding request has.
   bool poll(serve::RequestResult& out);
-
-  /// Blocks until the next result in id order completes (pumping the
-  /// pipeline while it waits), then delivers it. Requires at least one
-  /// outstanding request.
   serve::RequestResult wait();
-
-  /// Compatibility wrapper over the async pipeline: waits out every
-  /// outstanding request and returns the results in id order, executing
-  /// the crash script along the way — exactly what the synchronous drain
-  /// served, bit for bit.
   std::vector<serve::RequestResult> drain();
 
   /// Requests accepted and not yet delivered through poll()/wait().
-  std::size_t pending() const { return outstanding_; }
+  std::size_t pending() const { return front_.pending(); }
 
   /// Throughput, completion statistics, and process-fault counters
-  /// (shed / resubmitted / worker_restarts)
+  /// (rejected / resubmitted / worker_restarts)
   /// over everything delivered since construction or the last rebind() —
   /// rebinding starts a fresh logical deployment, so its report starts
   /// fresh too. `rebinds` is the exception: it counts over the fleet's
@@ -255,8 +229,8 @@ class WorkerHost {
   }
   /// This deployment's metric registry (counters and latency histograms
   /// the report derives from) — live, for the metrics JSON exporter.
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
-  std::uint64_t next_request_id() const { return next_id_; }
+  const obs::MetricsRegistry& metrics() const { return front_.metrics(); }
+  std::uint64_t next_request_id() const { return front_.next_id(); }
   const nn::FeedForwardNetwork& network() const {
     WNF_EXPECTS(net_ != nullptr);
     return *net_;
@@ -300,16 +274,8 @@ class WorkerHost {
   }
 
  private:
-  static constexpr std::size_t kNoSegment = ~std::size_t{0};
-
   /// Both public constructors: `net` null forks the fleet unbound.
   WorkerHost(const nn::FeedForwardNetwork* net, TransportConfig config);
-
-  struct PendingRequest {
-    std::uint64_t id = 0;
-    std::vector<double> x;
-    Rng rng;  ///< child stream split off at submission
-  };
 
   /// One worker process as the host sees it.
   struct WorkerState {
@@ -415,7 +381,9 @@ class WorkerHost {
   /// Reads and frames everything `w`'s socket has (Hello, Telemetry,
   /// doorbells); EOF or a protocol violation declares the worker dead.
   void service_worker(std::size_t w, bool readable, bool writable);
-  void delivered(const serve::RequestResult& result);
+  /// The front's poll() plus the host's own delivery bookkeeping: the
+  /// lifetime odometer, and a health publish when the pipeline goes idle.
+  bool deliver(serve::RequestResult& out);
   /// Ingests one worker Telemetry frame into the process
   /// TraceLog, clock-shifted by the worker's Hello offset. False when the
   /// payload does not decode (protocol violation).
@@ -440,20 +408,15 @@ class WorkerHost {
 
   const nn::FeedForwardNetwork* net_ = nullptr;  ///< null until first bind
   TransportConfig config_;
-  serve::FaultTimeline timeline_;
-  std::vector<std::size_t> wait_counts_;  ///< size L+1; empty = full waits
+  serve::Frontend front_;
   std::vector<WorkerState> workers_;
   std::vector<ScriptWindow> script_;
-  Rng root_;
-  std::deque<PendingRequest> queue_;  ///< accepted, not yet dispatched
+  std::deque<serve::PendingRequest> queue_;  ///< accepted, not dispatched
   /// Dispatched, unanswered — kept by id so a worker death can resubmit
   /// the exact request (input + split RNG state) to a survivor.
-  std::unordered_map<std::uint64_t, PendingRequest> inflight_;
+  std::unordered_map<std::uint64_t, serve::PendingRequest> inflight_;
   std::vector<std::uint64_t> resubmit_;  ///< ids orphaned by deaths,
                                          ///< ascending (oldest first)
-  serve::CompletionQueue completions_;
-  std::size_t outstanding_ = 0;  ///< accepted - delivered
-  std::uint64_t next_id_ = 0;
 
   /// Spontaneous deaths since the last harvested result. A worker fleet
   /// that keeps dying without serving anything (e.g. a config whose
@@ -465,16 +428,9 @@ class WorkerHost {
     return counter ? static_cast<std::size_t>(counter->value()) : 0;
   }
 
-  // Aggregates over every delivery since construction / the last rebind()
-  // (id order, so deterministic). The fault/ring counters live in the
-  // metrics registry (report() derives from it; rebind() resets it);
-  // completion times keep exact samples for the pinned report quantiles.
-  // rebinds_ and total_spawns_ are lifetime, like the fleet itself.
-  std::chrono::steady_clock::time_point busy_start_{};
-  SampleHistogram completion_;
-  obs::MetricsRegistry metrics_;
-  obs::Counter* shed_count_ = nullptr;
-  obs::Counter* resets_count_ = nullptr;
+  // The fault/ring counters live in the front's registry (report() derives
+  // from it; rebind() resets it). rebinds_ and total_spawns_ are lifetime,
+  // like the fleet itself.
   obs::Counter* resubmitted_count_ = nullptr;
   obs::Counter* restarts_count_ = nullptr;
   obs::Counter* ring_slots_count_ = nullptr;
@@ -482,8 +438,6 @@ class WorkerHost {
   obs::Counter* ring_torn_count_ = nullptr;
   obs::Counter* ring_spin_count_ = nullptr;
   obs::Counter* ring_sleep_count_ = nullptr;
-  obs::LogHistogram* completion_hist_ = nullptr;
-  obs::LogHistogram* queue_depth_hist_ = nullptr;
   std::size_t rebinds_ = 0;
   std::size_t total_spawns_ = 0;
   /// The debug_tear_result_at hook has fired (it tears exactly one slot:
@@ -500,10 +454,6 @@ class WorkerHost {
   std::vector<std::uint8_t> segments_frame_;
   std::vector<std::uint8_t> rebind_frame_;
   std::uint64_t control_gen_ = 0;
-  double wall_seconds_ = 0.0;
-  /// Disambiguates async trace ids across deployments: every rebind gets
-  /// a fresh tag, and a request's async span id is tag + request id.
-  std::uint64_t trace_tag_ = 0;
 
   /// One cache line per worker of relaxed atomics — the only state the
   /// watchdog thread reads. Fixed-size array allocated at construction,

@@ -7,6 +7,7 @@
 #include <unistd.h>
 #endif
 
+#include <algorithm>
 #include <cerrno>
 #include <memory>
 #include <span>
@@ -15,6 +16,7 @@
 #include "dist/sim.hpp"
 #include "nn/serialize.hpp"
 #include "obs/trace.hpp"
+#include "serve/replica.hpp"
 #include "transport/codec.hpp"
 #include "transport/ring.hpp"
 #include "util/contract.hpp"
@@ -37,14 +39,17 @@ bool transport_available() { return true; }
 
 namespace {
 
-/// The worker's replica state, built from a kBind frame.
-struct Replica {
+/// The worker's deployment state, built from a kBind frame: the network,
+/// the shared replica step bound to it, and the timeline's segment plans.
+struct Binding {
   nn::FeedForwardNetwork net;
-  std::unique_ptr<dist::NetworkSimulator> sim;
-  dist::LatencyModel latency;
-  std::vector<std::size_t> wait_counts;  ///< size L+1; empty = full waits
+  std::unique_ptr<serve::Replica> replica;
   std::vector<fault::FaultPlan> segments;
-  std::size_t installed = ~std::size_t{0};  ///< segment currently applied
+
+  void set_segments(std::vector<fault::FaultPlan> plans) {
+    segments = std::move(plans);
+    if (replica) replica->reset_segment();
+  }
 };
 
 /// Blocking write of the whole frame (the worker end may block freely; the
@@ -68,10 +73,10 @@ bool send_all(int fd, const std::vector<std::uint8_t>& bytes) {
   return true;
 }
 
-/// Installs a decoded BindMsg as the replica state — shared by the
+/// Installs a decoded BindMsg as the deployment state — shared by the
 /// spawn-time kBind frame and the live-fleet kRebind frame, so binding and
 /// rebinding cannot diverge.
-bool apply_bind(const BindMsg& msg, Replica& replica) {
+bool apply_bind(const BindMsg& msg, Binding& binding) {
   std::istringstream text(msg.network_text);
   auto net = nn::load_network(text);
   if (!net) return false;
@@ -79,29 +84,27 @@ bool apply_bind(const BindMsg& msg, Replica& replica) {
       msg.wait_counts.size() != net->layer_count() + 1) {
     return false;
   }
-  replica.net = std::move(*net);
-  replica.sim =
-      std::make_unique<dist::NetworkSimulator>(replica.net, msg.sim);
-  replica.latency = msg.latency;
-  replica.wait_counts.assign(msg.wait_counts.begin(),
-                             msg.wait_counts.end());
-  replica.segments.clear();
-  replica.installed = ~std::size_t{0};
+  binding.replica.reset();  // bound to the network about to be replaced
+  binding.net = std::move(*net);
+  binding.replica = std::make_unique<serve::Replica>(
+      binding.net, msg.sim, msg.latency,
+      std::vector<std::size_t>(msg.wait_counts.begin(),
+                               msg.wait_counts.end()));
+  binding.segments.clear();
   return true;
 }
 
-bool handle_bind(const Frame& frame, Replica& replica) {
+bool handle_bind(const Frame& frame, Binding& binding) {
   const auto msg = Codec::decode_bind(frame.payload);
   if (!msg) return false;
-  return apply_bind(*msg, replica);
+  return apply_bind(*msg, binding);
 }
 
-bool handle_rebind(const Frame& frame, Replica& replica) {
-  const auto msg = Codec::decode_rebind(frame.payload);
+bool handle_rebind(const Frame& frame, Binding& binding) {
+  auto msg = Codec::decode_rebind(frame.payload);
   if (!msg) return false;
-  if (!apply_bind(msg->bind, replica)) return false;
-  replica.segments = std::move(msg->segments.plans);
-  replica.installed = ~std::size_t{0};
+  if (!apply_bind(msg->bind, binding)) return false;
+  binding.set_segments(std::move(msg->segments.plans));
   return true;
 }
 
@@ -109,37 +112,23 @@ bool handle_rebind(const Frame& frame, Replica& replica) {
 /// False when the probe is structurally invalid for the current binding
 /// (the host never sends such a probe, so this is a protocol violation and
 /// the worker exits).
-bool evaluate_probe(const RequestSlot& req, Replica& replica,
+bool evaluate_probe(const RequestSlot& req, Binding& binding,
                     dist::SimResult& outcome) {
-  if (!replica.sim) return false;
+  if (!binding.replica) return false;
   const std::span<const double> x{req.x(), req.x_count};
-  if (x.size() != replica.net.input_dim()) return false;
+  if (x.size() != binding.net.input_dim()) return false;
+  // No segment table yet means the fault-free timeline: one segment, 0.
   const std::uint32_t segment = req.segment;
-  if (segment >= replica.segments.size() &&
-      !(segment == 0 && replica.segments.empty())) {
+  if (segment >= std::max<std::size_t>(binding.segments.size(), 1)) {
     return false;
   }
-  // Same install-on-segment-change discipline as ReplicaPool::process: a
-  // run of requests in one segment pays one plan install.
-  if (segment != replica.installed) {
-    const fault::FaultPlan* plan =
-        replica.segments.empty() ? nullptr : &replica.segments[segment];
-    if (plan == nullptr || plan->empty()) {
-      replica.sim->clear_faults();
-    } else {
-      replica.sim->apply_faults(*plan);
-    }
-    replica.installed = segment;
-  }
+  static const fault::FaultPlan kNoFaults;
+  const fault::FaultPlan& plan =
+      binding.segments.empty() ? kNoFaults : binding.segments[segment];
   // The request's RNG stream is the host's split child, bit for bit.
   Rng request_rng;
   request_rng.set_state(req.rng_state);
-  replica.sim->sample_latencies(replica.latency, request_rng);
-  outcome = replica.wait_counts.empty()
-                ? replica.sim->evaluate(x)
-                : replica.sim->evaluate_boosted(
-                      x, {replica.wait_counts.data(),
-                          replica.wait_counts.size()});
+  outcome = binding.replica->step(segment, plan, x, request_rng);
   return true;
 }
 
@@ -182,7 +171,7 @@ struct RingServe {
 /// parked host loses nothing by sleeping until the whole burst is
 /// committed (the flag handshake is seq_cst, so a host parking mid-burst
 /// either sees the new tail in its recheck or is caught by this exchange).
-RingServe serve_ring(WorkerRings& rings, Replica& replica,
+RingServe serve_ring(WorkerRings& rings, Binding& binding,
                      std::uint64_t applied_epoch, int fd) {
   RingServe out;
   RequestSlot* req = nullptr;
@@ -190,7 +179,7 @@ RingServe serve_ring(WorkerRings& rings, Replica& replica,
          HeadAction::kServe) {
     const obs::ScopedSpan span(obs::TraceName::kWorkerExecute, req->id);
     dist::SimResult outcome;
-    if (!evaluate_probe(*req, replica, outcome)) {
+    if (!evaluate_probe(*req, binding, outcome)) {
       out.violation = true;
       return out;
     }
@@ -243,7 +232,7 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings& rings) {
     return 1;
   }
 
-  Replica replica;
+  Binding binding;
   std::vector<std::uint8_t> buffer;
   // Control-plane frames applied so far; gates which ring probes may run
   // (a slot stamped with a later epoch waits for its control frame).
@@ -263,14 +252,13 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings& rings) {
       }
       switch (frame.type) {
         case MessageType::kBind:
-          if (!handle_bind(frame, replica)) return 1;
+          if (!handle_bind(frame, binding)) return 1;
           ++applied_epoch;
           break;
         case MessageType::kSegments: {
           auto msg = Codec::decode_segments(frame.payload);
           if (!msg) return 1;
-          replica.segments = std::move(msg->plans);
-          replica.installed = ~std::size_t{0};
+          binding.set_segments(std::move(msg->plans));
           ++applied_epoch;
           break;
         }
@@ -279,7 +267,7 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings& rings) {
           // so the host attributes every event to the deployment that
           // produced it.
           if (!flush_telemetry(fd)) return 1;
-          if (!handle_rebind(frame, replica)) return 1;
+          if (!handle_rebind(frame, binding)) return 1;
           ++applied_epoch;
           break;
         case MessageType::kShutdown:
@@ -296,7 +284,7 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings& rings) {
     // Serve everything committed (and not epoch-gated), then peek the
     // socket once so a control frame pipelined behind ring traffic cannot
     // starve.
-    const RingServe burst = serve_ring(rings, replica, applied_epoch, fd);
+    const RingServe burst = serve_ring(rings, binding, applied_epoch, fd);
     if (burst.violation) return 1;
     if (burst.host_gone) return 0;
     if (burst.served > 0) {

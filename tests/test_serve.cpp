@@ -1,13 +1,17 @@
-// Serving-runtime tests: replica-count invariance (the determinism
-// contract), fault-timeline semantics over the request stream, equivalence
-// with the sequential boosting engine, and the bounded-queue behavior.
+// Serving-runtime tests: the request contract of the shared front (driven
+// directly, with no executor threads), replica-count invariance (the
+// determinism contract), fault-timeline semantics over the request stream,
+// equivalence with the sequential boosting engine, and the bounded-queue
+// behavior.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "dist/boosting.hpp"
 #include "fault/injector.hpp"
 #include "nn/builder.hpp"
+#include "serve/frontend.hpp"
 #include "serve/pool.hpp"
 #include "serve/timeline.hpp"
 
@@ -132,6 +136,111 @@ TEST(TimelineDeathTest, OverlappingWindowsOnSameComponentAbort) {
   timeline.add(2, 6, plan);
   timeline.add(4, 8, plan);  // same neuron active twice on [4, 6)
   EXPECT_DEATH(timeline.finalize(net), "precondition");
+}
+
+/// Collects what a Frontend hands its executor.
+struct Accepted {
+  std::vector<PendingRequest> requests;
+  void operator()(PendingRequest&& request) {
+    requests.push_back(std::move(request));
+  }
+};
+
+/// Stands in for an executor: finishes `request` with a fixed result.
+void finish(Frontend& front, const PendingRequest& request) {
+  front.completions().push({request.id, 0.5, 2.0, 3});
+}
+
+TEST(Frontend, IdsAndSplitsAreConsumedOnlyOnAcceptance) {
+  Frontend front("serve", "serve.rejected", 5, 2);
+  Accepted accepted;
+  EXPECT_TRUE(front.submit({1.0}, std::ref(accepted)));
+  EXPECT_TRUE(front.submit({2.0}, std::ref(accepted)));
+  EXPECT_FALSE(front.submit({3.0}, std::ref(accepted)));  // queue full
+  EXPECT_FALSE(front.submit({4.0}, std::ref(accepted)));
+  ASSERT_EQ(accepted.requests.size(), 2u);
+  EXPECT_EQ(front.pending(), 2u);
+  EXPECT_EQ(front.next_id(), 2u);
+  EXPECT_EQ(front.report(1).rejected, 2u);
+
+  // Delivering one frees a slot; the next acceptance takes id 2 and the
+  // third split of the root stream, as if nothing had been shed.
+  finish(front, accepted.requests[0]);
+  RequestResult out;
+  ASSERT_TRUE(front.poll(out));
+  EXPECT_EQ(out.id, 0u);
+  EXPECT_TRUE(front.submit({5.0}, std::ref(accepted)));
+  ASSERT_EQ(accepted.requests.size(), 3u);
+  Rng root(5);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(accepted.requests[i].id, i);
+    EXPECT_EQ(accepted.requests[i].rng.state(), root.split().state());
+  }
+  EXPECT_EQ(accepted.requests[2].x, std::vector<double>{5.0});
+}
+
+TEST(Frontend, SubmitBatchAcceptsAPrefixAndShedsTheRest) {
+  Frontend front("serve", "serve.rejected", 5, 3);
+  const std::vector<std::vector<double>> batch{{0.0}, {1.0}, {2.0}, {3.0},
+                                               {4.0}};
+  Accepted accepted;
+  EXPECT_EQ(front.submit_batch(batch, std::ref(accepted)), 3u);
+  ASSERT_EQ(accepted.requests.size(), 3u);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(accepted.requests[i].id, i);
+    EXPECT_EQ(accepted.requests[i].x, batch[i]);
+  }
+  EXPECT_EQ(front.pending(), 3u);
+  EXPECT_EQ(front.report(1).rejected, 2u);
+  // A full queue sheds a whole batch and consumes no id.
+  EXPECT_EQ(front.submit_batch(batch, std::ref(accepted)), 0u);
+  EXPECT_EQ(front.next_id(), 3u);
+  EXPECT_EQ(front.report(1).rejected, 7u);
+  EXPECT_EQ(front.metrics().counter("serve.rejected").value(), 7);
+}
+
+TEST(Frontend, RestartGivesIdsFromZeroAReseededStreamAndAZeroedReport) {
+  const auto net = serve_net();
+  Frontend front("transport", "transport.shed", 9, 4);
+  FaultTimeline timeline;
+  fault::FaultPlan crash;
+  crash.neurons = {{1, 0, fault::NeuronFaultKind::kCrash, 0.0}};
+  timeline.add(0, FaultTimeline::kForever, crash);
+  front.set_timeline(timeline, net);
+  Accepted accepted;
+  const std::vector<std::vector<double>> batch{{0.0}, {1.0}, {2.0}, {3.0},
+                                               {4.0}};
+  EXPECT_EQ(front.submit_batch(batch, std::ref(accepted)), 4u);
+  for (const auto& request : accepted.requests) finish(front, request);
+  RequestResult out;
+  while (front.poll(out)) {
+  }
+  const ServeReport before = front.report(2);
+  EXPECT_EQ(before.completed, 4u);
+  EXPECT_EQ(before.rejected, 1u);
+  EXPECT_EQ(before.resets_sent, 12u);
+
+  front.restart(11, 1);
+  EXPECT_EQ(front.next_id(), 0u);
+  EXPECT_EQ(front.pending(), 0u);
+  EXPECT_TRUE(front.timeline().active_at(0).empty());
+  const ServeReport after = front.report(2);
+  EXPECT_EQ(after.completed, 0u);
+  EXPECT_EQ(after.rejected, 0u);
+  EXPECT_EQ(after.resets_sent, 0u);
+  EXPECT_EQ(after.wall_seconds, 0.0);
+  EXPECT_EQ(front.metrics().counter("transport.resets_sent").value(), 0);
+
+  // The new queue bound holds, and the stream restarts from the new seed.
+  accepted.requests.clear();
+  EXPECT_TRUE(front.submit({7.0}, std::ref(accepted)));
+  EXPECT_FALSE(front.submit({8.0}, std::ref(accepted)));
+  ASSERT_EQ(accepted.requests.size(), 1u);
+  EXPECT_EQ(accepted.requests[0].id, 0u);
+  EXPECT_EQ(accepted.requests[0].rng.state(), Rng(11).split().state());
+  finish(front, accepted.requests[0]);
+  ASSERT_TRUE(front.poll(out));
+  EXPECT_EQ(out.id, 0u);
 }
 
 TEST(Serve, OutputsMatchSequentialSimulator) {
@@ -302,7 +411,6 @@ TEST(Serve, BoundedQueueShedsLoadWithoutPerturbingAcceptedRequests) {
   EXPECT_EQ(pool.submit_batch(workload), 8u);
   EXPECT_EQ(pool.pending(), 8u);
   EXPECT_EQ(pool.report().rejected, 4u);
-  EXPECT_EQ(pool.report().shed, 0u);  // in-queue rejection, not transport shed
   const auto first = pool.drain();
   ASSERT_EQ(first.size(), 8u);
   EXPECT_EQ(pool.pending(), 0u);
@@ -445,9 +553,8 @@ TEST(Serve, ReportAggregatesThroughputPercentilesAndResets) {
   EXPECT_EQ(report.resets_sent, resets);
   EXPECT_EQ(resets, workload.size() * (2u * 5u + 1u));
   // Process-level fault counters exist for the transport runtime only; an
-  // in-process pool never sheds at the transport layer, never loses an
-  // in-flight request, and never restarts a worker.
-  EXPECT_EQ(report.shed, 0u);
+  // in-process pool never loses an in-flight request and never restarts a
+  // worker.
   EXPECT_EQ(report.resubmitted, 0u);
   EXPECT_EQ(report.worker_restarts, 0u);
   // Likewise an in-process pool is never rebound.

@@ -1,4 +1,4 @@
-// Unit tests for src/tensor: matrix storage and the gemv/gemm kernels.
+// Unit tests for src/tensor: matrix storage and the gemv kernels.
 #include <gtest/gtest.h>
 
 #include "tensor/matrix.hpp"
@@ -83,51 +83,6 @@ TEST(Ops, GemvTransposedMatchesExplicitTranspose) {
   std::vector<double> got(5);
   gemv_transposed(a, x, got);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(got[i], expect[i], 1e-12);
-}
-
-TEST(Ops, GemmKnownValues) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix b{{5.0, 6.0}, {7.0, 8.0}};
-  Matrix c;
-  gemm(a, b, c);
-  EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
-}
-
-TEST(Ops, GemmMatchesGemvColumns) {
-  Rng rng(9);
-  Matrix a(4, 6);
-  Matrix b(6, 3);
-  for (double& v : a.flat()) v = rng.normal();
-  for (double& v : b.flat()) v = rng.normal();
-  Matrix c;
-  gemm(a, b, c);
-  // Column j of C equals A * (column j of B).
-  for (std::size_t j = 0; j < 3; ++j) {
-    std::vector<double> col(6);
-    for (std::size_t k = 0; k < 6; ++k) col[k] = b(k, j);
-    std::vector<double> expect(4);
-    gemv(a, col, expect);
-    for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(c(i, j), expect[i], 1e-12);
-  }
-}
-
-TEST(Ops, GemvParallelMatchesSerial) {
-  Rng rng(11);
-  ThreadPool pool(4);
-  Matrix a(300, 300);  // above the parallel threshold
-  for (double& v : a.flat()) v = rng.normal();
-  std::vector<double> x(300);
-  for (double& v : x) v = rng.normal();
-  std::vector<double> serial(300);
-  std::vector<double> parallel(300);
-  gemv(a, x, serial);
-  gemv_parallel(pool, a, x, parallel);
-  for (std::size_t i = 0; i < 300; ++i) {
-    EXPECT_DOUBLE_EQ(parallel[i], serial[i]);
-  }
 }
 
 TEST(Ops, Rank1Update) {

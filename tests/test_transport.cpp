@@ -435,7 +435,6 @@ TEST(WorkerHost, MatchesReplicaPoolBitForBit) {
   const auto report = host.report();
   EXPECT_EQ(report.completed, workload.size());
   EXPECT_EQ(report.replicas, 2u);
-  EXPECT_EQ(report.shed, 0u);
   EXPECT_EQ(report.resubmitted, 0u);
   EXPECT_EQ(report.worker_restarts, 0u);
   EXPECT_EQ(host.alive_workers(), 2u);
@@ -544,8 +543,7 @@ TEST(WorkerHost, BoundedQueueShedsAsTransportBackpressure) {
   WorkerHost host(net, config);
   EXPECT_EQ(host.submit_batch(workload), 8u);
   const auto report_before = host.report();
-  EXPECT_EQ(report_before.shed, 4u);
-  EXPECT_EQ(report_before.rejected, 4u);  // mirrored for pool parity
+  EXPECT_EQ(report_before.rejected, 4u);
   const auto served = host.drain();
   EXPECT_EQ(served.size(), 8u);
   // Shed load never consumed a split: id 8 serves next, like the pool.
