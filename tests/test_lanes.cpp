@@ -199,6 +199,61 @@ TEST(LanePath, InjectorBlocksEqualOneLanePath) {
   }
 }
 
+/// FNV-1a over the outputs' bit patterns: one exact-bit fingerprint.
+std::uint64_t fingerprint(std::span<const double> values) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (double v : values) {
+    hash ^= bits(v);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+TEST(LanePath, PerturbationByzantineGoldenBits) {
+  // Exact output bits of Byzantine neurons under the perturbation
+  // convention (plans 2 and 6: alone, and mixed with crashes and synapse
+  // faults), probe by probe and in blocks of 20, 48 and 70 probes. The
+  // constants were captured from the per-probe nominal-trace
+  // implementation these plans used to run on.
+  const std::uint64_t kSingle[2][2] = {
+      {0x20ce114a22a9bcd7ull, 0x66be1878f87f6e81ull},
+      {0x7d3ee6b88a9e0468ull, 0xae790e1fdb694018ull}};
+  const std::uint64_t kBlocks[2][2] = {
+      {0x5c1d4dd1d59132c0ull, 0xb6c3315c4ac1f5c3ull},
+      {0xe1dc3466f7b0143aull, 0x86552e90b0d40a9dull}};
+  const nn::FeedForwardNetwork nets[] = {dense_net(), capped_sparse_net()};
+  for (std::size_t k = 0; k < 2; ++k) {
+    const auto& net = nets[k];
+    const auto plans = plans_for(net);
+    for (std::size_t p = 0; p < 2; ++p) {
+      const auto& plan = plans[p == 0 ? 2 : 6];
+      ASSERT_TRUE(plan.has_byzantine_neurons());
+      ASSERT_EQ(plan.convention,
+                theory::CapacityConvention::kPerturbationBound);
+      fault::Injector injector(net);
+      Rng rng(19);
+      const auto singles = random_probes(24, net.input_dim(), rng);
+      std::vector<double> single_out;
+      for (const auto& x : singles) {
+        single_out.push_back(injector.damaged(plan, x));
+      }
+      std::vector<double> block_out;
+      for (std::size_t n : {20, 48, 70}) {
+        const auto probes = random_probes(n, net.input_dim(), rng);
+        std::vector<double> hurt(n);
+        injector.damaged(plan, probes, hurt);
+        block_out.insert(block_out.end(), hurt.begin(), hurt.end());
+      }
+      EXPECT_EQ(fingerprint(single_out), kSingle[k][p])
+          << std::hex << "net " << k << " plan " << p << " single 0x"
+          << fingerprint(single_out);
+      EXPECT_EQ(fingerprint(block_out), kBlocks[k][p])
+          << std::hex << "net " << k << " plan " << p << " blocks 0x"
+          << fingerprint(block_out);
+    }
+  }
+}
+
 /// The 1-lane reference for SimulatorBackend::run_trials: trial t's
 /// latency stream is the t-th split, drawn probe by probe before each
 /// serial evaluation.

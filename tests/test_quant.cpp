@@ -2,7 +2,10 @@
 // evaluation, weight quantisation, memory accounting.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "nn/builder.hpp"
 #include "quant/memory_model.hpp"
@@ -86,6 +89,45 @@ TEST(QuantizedEval, DegradationShrinksWithBits) {
     }
     EXPECT_LE(worst, previous + 1e-12);
     previous = worst;
+  }
+}
+
+TEST(QuantizedEval, GoldenBitsPerRoundingMode) {
+  // Exact output bits of quantised evaluation for every rounding mode, so
+  // a change of forward implementation cannot move a single bit (nor the
+  // order of stochastic rounding's draws). The constants were captured
+  // from the hooked forward pass the quantiser used to run on.
+  Rng rng(23);
+  const auto net = nn::NetworkBuilder(3)
+                       .activation(nn::ActivationKind::kSigmoid, 1.0)
+                       .hidden(9)
+                       .hidden(7)
+                       .init(nn::InitKind::kUniform, 0.8)
+                       .build(rng);
+  Rng probe_rng(29);
+  std::vector<std::vector<double>> probes(16);
+  for (auto& x : probes) {
+    x = {probe_rng.uniform(), probe_rng.uniform(), probe_rng.uniform()};
+  }
+  const std::pair<Rounding, std::uint64_t> cases[] = {
+      {Rounding::kNearest, 0xacc97c008eba42a8ull},
+      {Rounding::kTruncate, 0x81ea57a3447f05bfull},
+      {Rounding::kStochastic, 0x586fb8a69883b912ull}};
+  nn::Workspace ws;
+  for (const auto& [rounding, expected] : cases) {
+    PrecisionScheme scheme;
+    scheme.bits = {5, 7};
+    scheme.rounding = rounding;
+    scheme.stochastic_seed = 3;
+    // FNV-1a over the outputs' bit patterns.
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const auto& x : probes) {
+      hash ^= std::bit_cast<std::uint64_t>(
+          evaluate_quantized(net, x, scheme, ws));
+      hash *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(hash, expected) << std::hex << "rounding "
+                              << static_cast<int>(rounding) << " 0x" << hash;
   }
 }
 
