@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   check_table.print(std::cout);
   std::printf(
       "\nresult: the campaign engine is backend-agnostic — every attack runs\n"
-      "on the hooked forward pass, the message-level simulator, and the\n"
+      "on the matrix forward pass, the message-level simulator, and the\n"
       "multi-worker serving pool, and the paths agree bit-for-bit under the\n"
       "transmitted-value convention at campaign scale.\n");
   return 0;

@@ -1,8 +1,5 @@
 #include "exec/injector_backend.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/thread_pool.hpp"
 
 namespace wnf::exec {
@@ -18,7 +15,7 @@ void InjectorBackend::install(const fault::FaultPlan& plan) {
 void InjectorBackend::clear() { plan_ = fault::FaultPlan{}; }
 
 ProbeResult InjectorBackend::evaluate(std::span<const double> x) {
-  // The hooked forward pass has no notion of time or messages.
+  // The matrix forward pass has no notion of time or messages.
   return {injector_.damaged(plan_, x), 0.0, 0};
 }
 
@@ -38,18 +35,11 @@ std::vector<TrialResult> InjectorBackend::run_trials(
   parallel_for(0, trials.size(), [&](std::size_t t) {
     const Trial& trial = trials[t];
     fault::Injector injector(net_);  // Injectors are not thread-safe
-    const std::size_t n = trial.probes.size();
-    std::vector<double> clean(n);
-    std::vector<double> damaged(n);
-    injector.nominal(trial.probes, clean);
+    std::vector<double> damaged(trial.probes.size());
     injector.damaged(trial.plan, trial.probes, damaged);
-    results[t].probes.resize(n);
-    double worst = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      worst = std::max(worst, std::fabs(clean[i] - damaged[i]));
-      results[t].probes[i] = {damaged[i], 0.0, 0};
-    }
-    results[t].worst_error = worst;
+    results[t].probes.reserve(damaged.size());
+    for (double output : damaged) results[t].probes.push_back({output, 0.0, 0});
+    finish_trial(net_, trial, results[t]);
   });
   return results;
 }

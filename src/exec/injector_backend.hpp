@@ -1,6 +1,7 @@
 // The analytic-path backend: fault::Injector behind the EvalBackend seam.
 // This is the "costly experiment" the paper contrasts with its bound — a
-// hooked matrix forward pass with no clock, so completion metadata is zero.
+// matrix forward pass (fault::layer_step, layer after layer) with no clock,
+// so completion metadata is zero.
 #pragma once
 
 #include "exec/backend.hpp"

@@ -65,7 +65,7 @@ FaultPlan random_synapse_byzantine_plan(const nn::FeedForwardNetwork& net,
 /// "discouraging combinatorial explosion" of the paper's introduction.
 /// Candidate subsets are scored on `backend` (which must be bound to
 /// `net`), so the search runs against any execution path, not just the
-/// hooked forward pass.
+/// Injector's matrix forward pass.
 FaultPlan exhaustive_worst_crash_plan(
     const nn::FeedForwardNetwork& net, std::size_t layer, std::size_t f,
     std::span<const std::vector<double>> probe_inputs, double& worst_error,

@@ -1,6 +1,6 @@
 // Monte-Carlo fault-injection campaigns: many independent trials, each with
 // a fresh victim set and probe inputs, summarised against the analytic
-// bound. Trials run on any exec::EvalBackend — the hooked matrix forward
+// bound. Trials run on any exec::EvalBackend — the matrix forward
 // (Injector), the message-level simulator, or the serving pool — and
 // parallelise inside the backend; per-trial RNG streams are split from the
 // campaign seed, so results are independent of scheduling *and* identical

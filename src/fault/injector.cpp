@@ -11,83 +11,74 @@ namespace {
 
 const FaultPlan kNoFaults{};
 
-bool needs_nominal_trace(const FaultPlan& plan) {
-  return plan.has_byzantine_neurons() &&
-         plan.convention == theory::CapacityConvention::kPerturbationBound;
-}
-
 }  // namespace
 
 Injector::Injector(const nn::FeedForwardNetwork& net) : net_(net) {}
 
 template <std::size_t Lanes>
 void Injector::forward(const FaultPlan& plan, std::span<const double> x,
-                       std::span<double> out,
-                       const nn::ForwardTrace* nominal_trace) {
+                       std::span<double> out) {
   WNF_EXPECTS(x.size() == net_.input_dim() * Lanes);
+  // A Byzantine neuron under the perturbation convention perturbs its
+  // fault-free y^(l), so the fault-free step runs alongside, layer by layer.
+  const bool lockstep =
+      plan.has_byzantine_neurons() &&
+      plan.convention == theory::CapacityConvention::kPerturbationBound;
   current_.assign(x.begin(), x.end());
+  if (lockstep) clean_current_.assign(x.begin(), x.end());
   for (std::size_t l = 1; l <= net_.layer_count(); ++l) {
     next_.resize(net_.layer_width(l) * Lanes);
     std::span<const double> nominal;
-    // activations[l] is y^(l) (index 0 holds the input X).
-    if (nominal_trace != nullptr) nominal = nominal_trace->activations[l];
+    if (lockstep) {
+      clean_next_.resize(next_.size());
+      layer_step<Lanes>(net_, l, kNoFaults, Channel{}, clean_current_,
+                        clean_next_);
+      nominal = clean_next_;
+    }
     layer_step<Lanes>(net_, l, plan, Channel{}, current_, next_, nominal);
     std::swap(current_, next_);
+    std::swap(clean_current_, clean_next_);
   }
   output_step<Lanes>(net_, plan, current_, out);
 }
 
 double Injector::nominal(std::span<const double> x) {
   double out = 0.0;
-  forward<1>(kNoFaults, x, {&out, 1}, nullptr);
+  forward<1>(kNoFaults, x, {&out, 1});
   return out;
 }
 
 double Injector::damaged(const FaultPlan& plan, std::span<const double> x) {
-  // Byzantine neuron perturbations are defined relative to the nominal
-  // activations, so compute the clean trace first when needed.
-  nn::ForwardTrace nominal_trace;
-  const bool needs_trace = needs_nominal_trace(plan);
-  if (needs_trace) nominal_trace = net_.forward_trace(x);
   double out = 0.0;
-  forward<1>(plan, x, {&out, 1}, needs_trace ? &nominal_trace : nullptr);
+  forward<1>(plan, x, {&out, 1});
   return out;
 }
 
 void Injector::forward_blocks(const FaultPlan& plan,
                               std::span<const std::vector<double>> probes,
                               std::span<double> out) {
+  WNF_EXPECTS(out.size() == probes.size());
   double lanes_out[kLanes];
   for_each_lane_block(
       probes.size(),
       [&](std::size_t begin, std::size_t count) {
         block_.resize(net_.input_dim() * kLanes);
         gather_lanes(probes.subspan(begin, count), net_.input_dim(), block_);
-        forward<kLanes>(plan, block_, lanes_out, nullptr);
+        forward<kLanes>(plan, block_, lanes_out);
         std::copy(lanes_out, lanes_out + count, out.begin() + begin);
       },
-      [&](std::size_t i) {
-        forward<1>(plan, probes[i], out.subspan(i, 1), nullptr);
-      });
+      [&](std::size_t i) { forward<1>(plan, probes[i], out.subspan(i, 1)); });
 }
 
 void Injector::nominal(std::span<const std::vector<double>> probes,
                        std::span<double> out) {
-  WNF_EXPECTS(out.size() == probes.size());
   forward_blocks(kNoFaults, probes, out);
 }
 
 void Injector::damaged(const FaultPlan& plan,
                        std::span<const std::vector<double>> probes,
                        std::span<double> out) {
-  WNF_EXPECTS(out.size() == probes.size());
-  if (!needs_nominal_trace(plan)) {
-    forward_blocks(plan, probes, out);
-    return;
-  }
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    out[i] = damaged(plan, probes[i]);
-  }
+  forward_blocks(plan, probes, out);
 }
 
 double Injector::output_error(const FaultPlan& plan,

@@ -21,7 +21,7 @@ class Injector {
   double nominal(std::span<const double> x);
 
   /// Output with `plan`'s faults applied. Byzantine neuron faults under the
-  /// perturbation convention are applied relative to the *nominal* trace
+  /// perturbation convention are applied relative to the *nominal* y^(l)
   /// (the faulty neuron overrides its output; it does not relay upstream
   /// damage — matching Theorem 2's worst-case model).
   double damaged(const FaultPlan& plan, std::span<const double> x);
@@ -34,10 +34,8 @@ class Injector {
 
   /// Damaged outputs of `probes` under `plan` into `out` (same size), in
   /// across-probe blocks; out[i] equals damaged(plan, probes[i]) bit for
-  /// bit. Plans with a Byzantine neuron under the perturbation convention
-  /// read a per-probe nominal trace and run probe by probe. Like every
-  /// Injector entry point, `plan` must pass validate_plan for this network
-  /// (the backends check it).
+  /// bit. Like every Injector entry point, `plan` must pass validate_plan
+  /// for this network (the backends check it).
   void damaged(const FaultPlan& plan,
                std::span<const std::vector<double>> probes,
                std::span<double> out);
@@ -51,10 +49,12 @@ class Injector {
 
  private:
   /// The damaged forward pass for Lanes probes: `x` is input_dim x Lanes,
-  /// lane-major; writes the Lanes outputs to `out`.
+  /// lane-major; writes the Lanes outputs to `out`. Plans with a Byzantine
+  /// neuron under the perturbation convention also run the fault-free step
+  /// in lockstep and hand it each layer's nominal y^(l).
   template <std::size_t Lanes>
   void forward(const FaultPlan& plan, std::span<const double> x,
-               std::span<double> out, const nn::ForwardTrace* nominal_trace);
+               std::span<double> out);
 
   /// Runs forward<kLanes> or forward<1> over `probes` (for_each_lane_block).
   void forward_blocks(const FaultPlan& plan,
@@ -64,6 +64,8 @@ class Injector {
   const nn::FeedForwardNetwork& net_;
   std::vector<double> current_;  ///< the layer's input, lane-major
   std::vector<double> next_;     ///< the layer's output, lane-major
+  std::vector<double> clean_current_;  ///< fault-free twins of current_ and
+  std::vector<double> clean_next_;     ///< next_ (lockstep passes only)
   std::vector<double> block_;    ///< a block's gathered inputs
 };
 

@@ -1,6 +1,8 @@
-// The one fault-semantics layer step. Both execution paths run it: the
+// The one forward step that applies perturbations. Every path runs it: the
 // Injector layer after layer with no channel, the message simulator with
-// the capacity channel and its latencies and straggler cuts around it.
+// the capacity channel and its latencies and straggler cuts around it, and
+// the quantiser (quant/quantized_network.hpp) with an empty plan, snapping
+// each layer's outputs to its grid.
 // Each step is a template over the lane count: Lanes == 1 is the per-probe
 // path, Lanes == kLanes evaluates an across-probe block (tensor/ops.hpp)
 // whose every lane is bit-identical to the 1-lane instance on that probe.
@@ -36,9 +38,10 @@ inline double clamp_to_capacity(double value, double capacity) {
 /// receivers read (in_size x Lanes, lane-major); `out` receives y^(l)
 /// (width x Lanes). `nominal`, when non-empty, is y^(l) of the fault-free
 /// pass (width x Lanes): a Byzantine neuron under the perturbation
-/// convention then perturbs it, as the Injector's offline trace does. When
-/// empty it perturbs the value it computed itself, as a simulated process
-/// must (messages carry no clean trace).
+/// convention then perturbs it, as the Injector does by running the
+/// fault-free step in lockstep. When empty it perturbs the value it
+/// computed itself, as a simulated process must (messages carry no clean
+/// trace).
 template <std::size_t Lanes>
 void layer_step(const nn::FeedForwardNetwork& net, std::size_t l,
                 const FaultPlan& plan, const Channel& channel,

@@ -143,11 +143,14 @@ LoadReport replay(const ArrivalTrace& trace,
     const Arrival& arrival = trace.arrivals[i];
     const double target = arrival.time * config.time_scale;
     // Hold the schedule: keep every pipeline pumped until this arrival's
-    // instant, napping only when nothing completed.
+    // instant, napping only when nothing completed. Every arrival gets at
+    // least one sweep, so a driver running behind schedule still frees
+    // queue room instead of shedding every later arrival.
     while (true) {
+      const bool any = harvest();
       const double remaining = target - elapsed();
       if (remaining <= 0.0) break;
-      if (!harvest() && config.idle_nap_seconds > 0.0) {
+      if (!any && config.idle_nap_seconds > 0.0) {
         std::this_thread::sleep_for(
             std::min(idle_nap, std::chrono::duration<double>(remaining)));
       }

@@ -166,10 +166,11 @@ struct LoadReport {
 /// Replays `trace` open-loop against `pipes` from the calling thread:
 /// arrival i targets pipes[tenant % pipes.size()] with input
 /// `inputs[i % inputs.size()]`, submitted at its scheduled wall time
-/// (trace time × time_scale from replay start). Between arrivals and
-/// through the tail drain, the driver polls every pipeline round-robin, so
-/// all deployments stay saturated concurrently. Returns once every
-/// admitted request has been delivered.
+/// (trace time × time_scale from replay start). Before each arrival (at
+/// least once, even when running late), between arrivals and through the
+/// tail drain, the driver polls every pipeline round-robin, so all
+/// deployments stay saturated concurrently. Returns once every admitted
+/// request has been delivered.
 ///
 /// When `collected` is non-null it is resized to pipes.size() and each
 /// pipeline's delivered results are appended in id order — the hook for

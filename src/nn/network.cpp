@@ -106,39 +106,6 @@ double FeedForwardNetwork::evaluate(std::span<const double> x) const {
   return evaluate(x, ws);
 }
 
-double FeedForwardNetwork::evaluate_hooked(std::span<const double> x,
-                                           const ForwardHooks& hooks,
-                                           Workspace& ws) const {
-  WNF_EXPECTS(x.size() == input_dim_);
-  auto& current = ws.buffer_a();
-  auto& next = ws.buffer_b();
-  current.assign(x.begin(), x.end());
-  for (std::size_t i = 0; i < hidden_.size(); ++i) {
-    const auto& layer = hidden_[i];
-    const std::size_t l = i + 1;  // paper layer index
-    next.resize(layer.out_size());
-    layer.affine(current, next);
-    if (hooks.pre_activation) {
-      hooks.pre_activation(l, {current.data(), current.size()},
-                           {next.data(), next.size()});
-    }
-    for (double& s : next) s = activation_.value(s);
-    if (hooks.post_activation) {
-      hooks.post_activation(l, {next.data(), next.size()});
-    }
-    std::swap(current, next);
-  }
-  double out = dot({current.data(), current.size()},
-                   {output_weights_.data(), output_weights_.size()}) +
-               output_bias_;
-  if (hooks.pre_activation) {
-    std::span<double> out_span{&out, 1};
-    hooks.pre_activation(hidden_.size() + 1, {current.data(), current.size()},
-                         out_span);
-  }
-  return out;
-}
-
 ForwardTrace FeedForwardNetwork::forward_trace(
     std::span<const double> x) const {
   WNF_EXPECTS(x.size() == input_dim_);

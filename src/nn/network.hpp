@@ -9,7 +9,6 @@
 // network. All theory code indexes layers 1..L as in the paper.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -17,23 +16,6 @@
 #include "nn/layer.hpp"
 
 namespace wnf::nn {
-
-/// Mutation hooks threaded through a forward pass: the seam the fixed-point
-/// quantiser plugs into. (Fault execution does not use it; the Injector and
-/// the simulator share fault::layer_step instead.)
-struct ForwardHooks {
-  /// Called after s^(l) = W^(l) y^(l-1) + b is computed, before phi.
-  /// l runs over 1..L for hidden layers and L+1 for the output node (where
-  /// `s` has size 1). Mutating `s` models synapse-level faults.
-  std::function<void(std::size_t l, std::span<const double> y_prev,
-                     std::span<double> s)>
-      pre_activation;
-
-  /// Called after y^(l) = phi(s^(l)), l in 1..L. Mutating `y` models
-  /// neuron-level faults (crash: y[j] = 0; Byzantine: y[j] += lambda) and
-  /// reduced-precision implementations (quantise y).
-  std::function<void(std::size_t l, std::span<double> y)> post_activation;
-};
 
 /// Full record of one forward pass (needed by backprop and by the
 /// empirical-Lipschitz and boosting analyses).
@@ -107,10 +89,6 @@ class FeedForwardNetwork {
 
   /// Convenience overload (allocates).
   double evaluate(std::span<const double> x) const;
-
-  /// Fneu(X) with fault/precision hooks applied (see ForwardHooks).
-  double evaluate_hooked(std::span<const double> x, const ForwardHooks& hooks,
-                         Workspace& ws) const;
 
   /// Full trace for backprop / analysis.
   ForwardTrace forward_trace(std::span<const double> x) const;

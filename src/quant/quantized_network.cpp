@@ -1,5 +1,6 @@
 #include "quant/quantized_network.hpp"
 
+#include "fault/layer_step.hpp"
 #include "util/contract.hpp"
 
 namespace wnf::quant {
@@ -17,18 +18,23 @@ double evaluate_quantized(const nn::FeedForwardNetwork& net,
                           std::span<const double> x,
                           const PrecisionScheme& scheme, nn::Workspace& ws) {
   WNF_EXPECTS(scheme.bits.size() == net.layer_count());
-  std::vector<FixedPoint> quantizers;
-  quantizers.reserve(scheme.bits.size());
-  for (std::size_t b : scheme.bits) {
-    quantizers.emplace_back(b, scheme.rounding);
-  }
+  // The fault-free layer step, then each layer's outputs snapped to its
+  // grid in neuron order (stochastic rounding draws in that order).
+  const fault::FaultPlan no_faults;
   Rng stochastic_rng(scheme.stochastic_seed);
-  nn::ForwardHooks hooks;
-  hooks.post_activation = [&](std::size_t l, std::span<double> y) {
-    const auto& q = quantizers[l - 1];
-    for (double& value : y) value = q.quantize(value, stochastic_rng);
-  };
-  return net.evaluate_hooked(x, hooks, ws);
+  auto& current = ws.buffer_a();
+  auto& next = ws.buffer_b();
+  current.assign(x.begin(), x.end());
+  for (std::size_t l = 1; l <= net.layer_count(); ++l) {
+    next.resize(net.layer_width(l));
+    fault::layer_step<1>(net, l, no_faults, fault::Channel{}, current, next);
+    const FixedPoint q(scheme.bits[l - 1], scheme.rounding);
+    for (double& value : next) value = q.quantize(value, stochastic_rng);
+    std::swap(current, next);
+  }
+  double out = 0.0;
+  fault::output_step<1>(net, no_faults, current, {&out, 1});
+  return out;
 }
 
 double quantization_error_bound(const nn::FeedForwardNetwork& net,

@@ -1,9 +1,10 @@
 // Reduced-precision evaluation of a network (Section V-A / Theorem 5).
 //
 // Two independent knobs:
-//   * activation quantisation — each layer's outputs are snapped to a
-//     per-layer fixed-point grid during the forward pass (this is the
-//     lambda_l error Theorem 5 bounds);
+//   * activation quantisation — each layer's outputs, as the fault layer
+//     step (fault/layer_step.hpp) computes them, are snapped to a per-layer
+//     fixed-point grid (this is the per-neuron lambda_l error Theorem 5
+//     bounds: a perturbation like any other the step applies);
 //   * weight quantisation — a one-off transform of the stored network
 //     (changes the function; its effect is reported empirically and also
 //     bounded via Theorem 5 with lambda_l derived from the weight error).

@@ -1,6 +1,7 @@
 #include "serve/frontend.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "dist/boosting.hpp"
 #include "obs/trace.hpp"
@@ -9,16 +10,24 @@
 namespace wnf::serve {
 
 Frontend::Frontend(const std::string& runtime, const std::string& shed_metric,
-                   std::uint64_t seed, std::size_t queue_capacity)
-    : queue_capacity_(queue_capacity), root_(seed) {
+                   std::uint64_t seed, std::size_t queue_capacity,
+                   std::size_t input_dim)
+    : queue_capacity_(queue_capacity), input_dim_(input_dim), root_(seed) {
   WNF_EXPECTS(queue_capacity_ > 0);
   // The report derives from the registry; the hot paths cache the metric
   // pointers once (registrations outlive the front).
   shed_count_ = &metrics_.counter(shed_metric);
+  invalid_count_ = &metrics_.counter(runtime + ".invalid");
   resets_count_ = &metrics_.counter(runtime + ".resets_sent");
   completion_hist_ = &metrics_.histogram(runtime + ".completion_time");
   queue_depth_hist_ = &metrics_.histogram(runtime + ".queue_depth");
   trace_tag_ = obs::next_span_id() << 32;
+}
+
+bool Frontend::well_formed(std::span<const double> x) const {
+  return x.size() == input_dim_ &&
+         std::all_of(x.begin(), x.end(),
+                     [](double v) { return std::isfinite(v); });
 }
 
 std::size_t Frontend::admit(std::size_t count) {
@@ -104,10 +113,12 @@ std::vector<RequestResult> Frontend::drain() {
   return results;
 }
 
-void Frontend::restart(std::uint64_t seed, std::size_t queue_capacity) {
+void Frontend::restart(std::uint64_t seed, std::size_t queue_capacity,
+                       std::size_t input_dim) {
   WNF_EXPECTS(outstanding_ == 0);
   WNF_EXPECTS(queue_capacity > 0);
   queue_capacity_ = queue_capacity;
+  input_dim_ = input_dim;
   root_.reseed(seed);
   next_id_ = 0;
   completions_.reset(0);

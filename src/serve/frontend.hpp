@@ -41,8 +41,8 @@ struct PendingRequest {
   Rng rng;  ///< child stream split off at acceptance
 };
 
-/// Admission, id and Rng assignment, the fault timeline, and delivery
-/// accounting of one serving deployment.
+/// Validation, admission, id and Rng assignment, the fault timeline, and
+/// delivery accounting of one serving deployment.
 ///
 /// Threading contract: the driver thread calls everything, except that
 /// executors may push into completions() from any thread and read
@@ -51,32 +51,45 @@ struct PendingRequest {
 /// restart all require pending() == 0).
 class Frontend {
  public:
-  /// `runtime` prefixes the metric names (`<runtime>.resets_sent`,
-  /// `.completion_time`, `.queue_depth`); `shed_metric` names the counter
-  /// of refused submissions.
+  /// `runtime` prefixes the metric names (`<runtime>.invalid`,
+  /// `.resets_sent`, `.completion_time`, `.queue_depth`); `shed_metric`
+  /// names the counter of submissions the full queue refused. Requests
+  /// must hold `input_dim` finite values.
   Frontend(const std::string& runtime, const std::string& shed_metric,
-           std::uint64_t seed, std::size_t queue_capacity);
+           std::uint64_t seed, std::size_t queue_capacity,
+           std::size_t input_dim);
 
   Frontend(const Frontend&) = delete;
   Frontend& operator=(const Frontend&) = delete;
 
-  /// Accepts `x` unless `queue_capacity` requests are outstanding; on
-  /// acceptance hands `sink` the request with the next id and Rng split.
-  /// Returns false (and counts a shed) otherwise.
+  /// Accepts `x` unless it is malformed (wrong size or a non-finite
+  /// value: counted on `<runtime>.invalid`) or `queue_capacity` requests
+  /// are outstanding (counted as shed); on acceptance hands `sink` the
+  /// request with the next id and Rng split. Refusals consume no id.
   template <class Sink>
   bool submit(std::vector<double> x, Sink&& sink) {
+    if (!well_formed(x)) {
+      invalid_count_->add(1);
+      return false;
+    }
     if (admit(1) == 0) return false;
     sink(make_request(std::move(x)));
     return true;
   }
 
-  /// Accepts the longest prefix of `batch` the queue has room for — once
-  /// one request is shed, the rest of the batch is too — handing `sink`
-  /// each accepted request in id order. Returns the prefix length.
+  /// Accepts the longest prefix of `batch` that is well formed and that
+  /// the queue has room for, handing `sink` each accepted request in id
+  /// order. Returns the prefix length. A malformed request ends the prefix:
+  /// it counts as invalid and the requests after it are neither examined
+  /// nor counted. Well-formed requests before it that find the queue full
+  /// count as shed.
   template <class Sink>
   std::size_t submit_batch(std::span<const std::vector<double>> batch,
                            Sink&& sink) {
-    const std::size_t accepted = admit(batch.size());
+    std::size_t valid = 0;
+    while (valid < batch.size() && well_formed(batch[valid])) ++valid;
+    if (valid < batch.size()) invalid_count_->add(1);
+    const std::size_t accepted = admit(valid);
     for (std::size_t i = 0; i < accepted; ++i) sink(make_request(batch[i]));
     return accepted;
   }
@@ -114,9 +127,10 @@ class Frontend {
 
   /// A fresh logical deployment on the same executors: ids restart at 0 on
   /// a root stream reseeded from `seed`, the timeline clears, the queue
-  /// bound becomes `queue_capacity`, and the report and every metric zero.
-  /// Requires an idle pipeline.
-  void restart(std::uint64_t seed, std::size_t queue_capacity);
+  /// bound becomes `queue_capacity`, requests must hold `input_dim` values,
+  /// and the report and every metric zero. Requires an idle pipeline.
+  void restart(std::uint64_t seed, std::size_t queue_capacity,
+               std::size_t input_dim);
 
   /// Completion statistics, shed and reset counts over everything
   /// delivered since construction or the last restart().
@@ -133,6 +147,8 @@ class Frontend {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
+  /// `input_dim_` values, every one finite.
+  bool well_formed(std::span<const double> x) const;
   /// Admits the longest prefix of `count` requests the queue has room
   /// for, counts the rest as shed, and returns the prefix length.
   std::size_t admit(std::size_t count);
@@ -142,6 +158,7 @@ class Frontend {
   void delivered(const RequestResult& result);
 
   std::size_t queue_capacity_;
+  std::size_t input_dim_;
   Rng root_;
   std::uint64_t next_id_ = 0;
   std::size_t outstanding_ = 0;  ///< accepted - delivered
@@ -157,6 +174,7 @@ class Frontend {
   SampleHistogram completion_;
   obs::MetricsRegistry metrics_;
   obs::Counter* shed_count_ = nullptr;
+  obs::Counter* invalid_count_ = nullptr;
   obs::Counter* resets_count_ = nullptr;
   obs::LogHistogram* completion_hist_ = nullptr;
   obs::LogHistogram* queue_depth_hist_ = nullptr;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.hpp"
-#include "util/contract.hpp"
 
 namespace wnf::serve {
 
@@ -23,7 +22,8 @@ std::size_t resolve_replicas(std::size_t requested) {
 
 ReplicaPool::ReplicaPool(const nn::FeedForwardNetwork& net, ServeConfig config)
     : net_(net),
-      front_("serve", "serve.rejected", config.seed, config.queue_capacity) {
+      front_("serve", "serve.rejected", config.seed, config.queue_capacity,
+             net.input_dim()) {
   front_.set_straggler_cut(config.straggler_cut, net_);
   const std::size_t replicas = resolve_replicas(config.replicas);
   replicas_.reserve(replicas);
@@ -56,7 +56,6 @@ void ReplicaPool::set_timeline(FaultTimeline timeline) {
 }
 
 bool ReplicaPool::submit(std::vector<double> x) {
-  WNF_EXPECTS(x.size() == net_.input_dim());
   const bool accepted =
       front_.submit(std::move(x), [this](PendingRequest&& request) {
         obs::async_begin(obs::TraceName::kQueue,
@@ -70,7 +69,6 @@ bool ReplicaPool::submit(std::vector<double> x) {
 
 std::size_t ReplicaPool::submit_batch(
     std::span<const std::vector<double>> batch) {
-  for (const auto& x : batch) WNF_EXPECTS(x.size() == net_.input_dim());
   // One lock and one wake for the whole batch: at small request sizes the
   // per-request notify_one and mutex round-trips of submit() dominate the
   // closed-loop throughput otherwise.

@@ -75,8 +75,9 @@ class ReplicaPool {
   /// pipeline: every submitted request delivered (pending() == 0).
   void set_timeline(FaultTimeline timeline);
 
-  /// Admission through the front (Frontend::submit / submit_batch);
-  /// workers may start executing an accepted request immediately.
+  /// Admission through the front (Frontend::submit / submit_batch), which
+  /// refuses malformed requests and sheds on a full queue; workers may
+  /// start executing an accepted request immediately.
   bool submit(std::vector<double> x);
   std::size_t submit_batch(std::span<const std::vector<double>> batch);
 

@@ -41,7 +41,7 @@ WorkerHost::WorkerHost(const nn::FeedForwardNetwork* net,
     : net_(net),
       config_(std::move(config)),
       front_("transport", "transport.shed", config_.seed,
-             config_.queue_capacity) {
+             config_.queue_capacity, net != nullptr ? net->input_dim() : 0) {
   WNF_EXPECTS(false && "transport needs POSIX fork/socketpair");
 }
 WorkerHost::~WorkerHost() = default;
@@ -118,7 +118,7 @@ WorkerHost::WorkerHost(const nn::FeedForwardNetwork* net,
     : net_(net),
       config_(std::move(config)),
       front_("transport", "transport.shed", config_.seed,
-             config_.queue_capacity) {
+             config_.queue_capacity, net != nullptr ? net->input_dim() : 0) {
   WNF_EXPECTS(available());
   WNF_EXPECTS(config_.ring_capacity > 0);
   if (config_.workers == 0) {
@@ -180,7 +180,7 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
   // with no timeline and no crash script carried over, and the report
   // starts over (rebinds_ is lifetime): every per-deployment metric zeroes
   // in place, cached pointers intact.
-  front_.restart(config_.seed, config_.queue_capacity);
+  front_.restart(config_.seed, config_.queue_capacity, net_->input_dim());
   script_.clear();
   deaths_without_progress_ = 0;
   // Live workers swap state atomically via one kRebind frame, built from
@@ -479,7 +479,6 @@ void WorkerHost::set_crash_script(std::vector<CrashWindow> script) {
 
 bool WorkerHost::submit(std::vector<double> x) {
   WNF_EXPECTS(bound());
-  WNF_EXPECTS(x.size() == net_->input_dim());
   return front_.submit(std::move(x), [this](serve::PendingRequest&& request) {
     queue_.push_back(std::move(request));
   });
@@ -488,7 +487,6 @@ bool WorkerHost::submit(std::vector<double> x) {
 std::size_t WorkerHost::submit_batch(
     std::span<const std::vector<double>> batch) {
   WNF_EXPECTS(bound());
-  for (const auto& x : batch) WNF_EXPECTS(x.size() == net_->input_dim());
   return front_.submit_batch(batch, [this](serve::PendingRequest&& request) {
     queue_.push_back(std::move(request));
   });

@@ -165,8 +165,9 @@ class WorkerHost {
   void set_crash_script(std::vector<CrashWindow> script);
 
   /// Admission through the front (serve::Frontend::submit /
-  /// submit_batch); the host queues accepted requests for the next pump
-  /// and never blocks on execution.
+  /// submit_batch), which refuses malformed requests and sheds on a full
+  /// queue; the host queues accepted requests for the next pump and never
+  /// blocks on execution. Requires a bound fleet.
   bool submit(std::vector<double> x);
   std::size_t submit_batch(std::span<const std::vector<double>> batch);
 

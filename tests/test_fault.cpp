@@ -93,24 +93,33 @@ TEST(Injector, ByzantineTransmittedValueOverrides) {
 }
 
 TEST(Injector, DeepByzantinePerturbationIsRelativeToNominal) {
-  // A layer-1 Byzantine fault under the perturbation convention sets
-  // y = y_nominal + lambda even though downstream neurons see damage.
+  // Under the perturbation convention a Byzantine neuron outputs its
+  // *nominal* value plus lambda, even where upstream damage moved what it
+  // would compute itself: layer 1 loses neuron 0, layer 2's neuron 3 is
+  // Byzantine. The reference is the damaged forward pass written out.
   const auto net = small_net();
   Injector injector(net);
   const std::vector<double> x{0.4, 0.5};
   FaultPlan plan;
-  plan.neurons = {{1, 2, NeuronFaultKind::kByzantine, 0.3}};
-  // Indirect check: same fault with lambda then -lambda are symmetric
-  // around nominal at first order only; instead verify via a hook-free
-  // reference computation.
-  const auto trace = net.forward_trace(x);
-  nn::ForwardHooks hooks;
-  hooks.post_activation = [&](std::size_t l, std::span<double> y) {
-    if (l == 1) y[2] = trace.activations[1][2] + 0.3;
-  };
-  nn::Workspace ws;
-  EXPECT_NEAR(injector.damaged(plan, x), net.evaluate_hooked(x, hooks, ws),
-              1e-14);
+  plan.neurons = {{1, 0, NeuronFaultKind::kCrash, 0.0},
+                  {2, 3, NeuronFaultKind::kByzantine, 0.3}};
+  const auto clean = net.forward_trace(x);
+  std::vector<double> y1(net.layer_width(1));
+  net.layer(1).affine(x, y1);
+  for (double& v : y1) v = net.activation().value(v);
+  y1[0] = 0.0;
+  std::vector<double> y2(net.layer_width(2));
+  net.layer(2).affine(y1, y2);
+  for (double& v : y2) v = net.activation().value(v);
+  // Upstream damage reaches neuron 3, so "nominal + lambda" differs from
+  // "computed + lambda" here.
+  ASSERT_GT(std::fabs(y2[3] - clean.activations[2][3]), 1e-6);
+  y2[3] = clean.activations[2][3] + 0.3;
+  double expected = net.output_bias();
+  for (std::size_t i = 0; i < y2.size(); ++i) {
+    expected += net.output_weights()[i] * y2[i];
+  }
+  EXPECT_NEAR(injector.damaged(plan, x), expected, 1e-14);
 }
 
 TEST(Injector, SynapseCrashEqualsWeightZero) {

@@ -6,6 +6,7 @@
 // transport fleet).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <sstream>
 
@@ -56,19 +57,21 @@ void expect_ascending(const ArrivalTrace& trace) {
 }
 
 /// A serving deployment scripted for shedding tests: accepts up to
-/// `capacity` outstanding requests and completes one per poll. Results are
-/// synthetic — the shedding policy only looks at counts and outstanding().
+/// `capacity` outstanding requests and completes one per
+/// `polls_per_completion` polls. Results are synthetic — the shedding
+/// policy only looks at counts and outstanding().
 class StubPipeline final : public Pipeline {
  public:
-  explicit StubPipeline(std::size_t capacity = ~std::size_t{0})
-      : capacity_(capacity) {}
+  explicit StubPipeline(std::size_t capacity = ~std::size_t{0},
+                        std::size_t polls_per_completion = 1)
+      : capacity_(capacity), polls_per_completion_(polls_per_completion) {}
   bool try_submit(std::vector<double>) override {
     if (held_ >= capacity_) return false;
     ++held_;
     return true;
   }
   bool poll(serve::RequestResult& out) override {
-    if (held_ == 0) return false;
+    if (held_ == 0 || ++polls_ % polls_per_completion_ != 0) return false;
     --held_;
     out = {next_id_++, 0.0, 0.0, 0};
     return true;
@@ -78,6 +81,8 @@ class StubPipeline final : public Pipeline {
 
  private:
   std::size_t capacity_;
+  std::size_t polls_per_completion_;
+  std::size_t polls_ = 0;
   std::size_t held_ = 0;
   std::uint64_t next_id_ = 0;
 };
@@ -305,16 +310,16 @@ TEST(Replay, OpenLoopBitIdenticalToSynchronousDrain) {
 }
 
 TEST(Replay, AdmissionLimitShedsWhenThePipelineBacksUp) {
-  // Ten arrivals all scheduled at wall zero against a pipeline nothing has
-  // polled yet: the first `admission_limit` are admitted, the rest shed —
-  // deterministically, because the replayer only harvests while *waiting*
-  // for a future arrival, and none of these are in the future.
+  // Ten arrivals all scheduled at wall zero against a pipeline far slower
+  // than the driver: the first `admission_limit` are admitted, the rest
+  // shed — deterministically, because the replayer sweeps once per late
+  // arrival and the stub completes nothing within its first 16 polls.
   ArrivalTrace trace;
   for (int i = 0; i < 10; ++i) trace.arrivals.push_back({0.0, 0});
   trace.duration = 1e-6;
   const auto inputs = load_workload(1);
 
-  StubPipeline stub;
+  StubPipeline stub(~std::size_t{0}, 16);
   Pipeline* const pipes[] = {&stub};
   OpenLoopConfig config;
   config.admission_limit = 4;
@@ -337,9 +342,10 @@ TEST(Replay, QueueRefusalAndSloLatenessShedSeparately) {
   trace.duration = 1e-6;
   const auto inputs = load_workload(1);
 
-  // A deployment whose bounded queue holds two: the overflow is charged to
-  // shed_queue, not to the replayer's own admission control.
-  StubPipeline tight(2);
+  // A deployment whose bounded queue holds two and that completes nothing
+  // within the burst's six polls: the overflow is charged to shed_queue,
+  // not to the replayer's own admission control.
+  StubPipeline tight(2, 16);
   Pipeline* const tight_pipes[] = {&tight};
   const auto queue_report = replay(trace, inputs, tight_pipes, {});
   EXPECT_EQ(queue_report.admitted, 2u);
@@ -359,6 +365,47 @@ TEST(Replay, QueueRefusalAndSloLatenessShedSeparately) {
   EXPECT_EQ(slo_report.admitted, 0u);
   EXPECT_EQ(slo_report.completed, 0u);
   EXPECT_EQ(idle.outstanding(), 0u);
+}
+
+/// Wraps a pipeline and spins for a fixed wall cost on every submission:
+/// a driver whose own submit path is slow enough to fall behind a bursty
+/// schedule now and then, though not behind its mean rate.
+class SlowSubmit final : public Pipeline {
+ public:
+  SlowSubmit(Pipeline& inner, double cost_seconds)
+      : inner_(inner), cost_(cost_seconds) {}
+  bool try_submit(std::vector<double> x) override {
+    const auto until = std::chrono::steady_clock::now() + cost_;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    return inner_.try_submit(std::move(x));
+  }
+  bool poll(serve::RequestResult& out) override { return inner_.poll(out); }
+  std::size_t outstanding() const override { return inner_.outstanding(); }
+  serve::ServeReport report() const override { return inner_.report(); }
+
+ private:
+  Pipeline& inner_;
+  std::chrono::duration<double> cost_;
+};
+
+TEST(Replay, ADriverBehindScheduleKeepsHarvesting) {
+  // Poisson arrivals at 5k/s with a 40 us submit cost: the driver keeps up
+  // with the mean rate but runs late through every cluster of arrivals. A
+  // one-slot deployment that completes on every poll then has room for
+  // each arrival only if the driver harvests before submitting even when
+  // late — otherwise every back-to-back late arrival sheds.
+  Rng rng(31);
+  const ArrivalTrace trace = poisson_trace(5000.0, 0.1, rng);
+  ASSERT_GT(trace.size(), 300u);
+  const auto inputs = load_workload(1);
+  StubPipeline one_slot(1);
+  SlowSubmit slow(one_slot, 40e-6);
+  Pipeline* const pipes[] = {&slow};
+  const auto report = replay(trace, inputs, pipes, {});
+  EXPECT_EQ(report.shed_queue, 0u);
+  EXPECT_EQ(report.admitted, trace.size());
+  EXPECT_EQ(report.completed, trace.size());
 }
 
 TEST(Replay, OneDriverSaturatesTwoPoolsWithTenantRouting) {

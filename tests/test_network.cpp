@@ -1,9 +1,10 @@
 // Tests for layers, the builder, and the paper's network model (Eqs. 1-3):
-// manual forward computation, hooks, weight maxima, traces, conv layers.
+// manual forward computation, weight maxima, traces, conv layers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "fault/injector.hpp"
 #include "nn/builder.hpp"
 #include "nn/conv.hpp"
 #include "nn/gradients.hpp"
@@ -100,48 +101,6 @@ TEST(Network, CountsAndWidths) {
   EXPECT_EQ(net.layer_widths(), (std::vector<std::size_t>{8, 6}));
   // synapses: 8*4 + 8 biases + 6*8 + 6 biases + 6 output + 1 output bias.
   EXPECT_EQ(net.synapse_count(), 32u + 8u + 48u + 6u + 6u + 1u);
-}
-
-TEST(Network, PostActivationHookOverridesNeuron) {
-  const auto net = tiny_network();
-  const std::vector<double> x{0.3, 0.7};
-  ForwardHooks hooks;
-  hooks.post_activation = [](std::size_t l, std::span<double> y) {
-    if (l == 1) y[0] = 0.0;  // crash neuron 0
-  };
-  Workspace ws;
-  const double damaged = net.evaluate_hooked(x, hooks, ws);
-  const Activation phi(ActivationKind::kSigmoid, 1.0);
-  const double s1 = 0.5 * 0.3 + 0.25 * 0.7 - 0.3;
-  EXPECT_NEAR(damaged, -1.0 * phi.value(s1) + 0.05, 1e-14);
-}
-
-TEST(Network, PreActivationHookSeesOutputNode) {
-  const auto net = tiny_network();
-  const std::vector<double> x{0.3, 0.7};
-  std::vector<std::size_t> layers_seen;
-  ForwardHooks hooks;
-  hooks.pre_activation = [&](std::size_t l, std::span<const double>,
-                             std::span<double> s) {
-    layers_seen.push_back(l);
-    if (l == 2) {
-      ASSERT_EQ(s.size(), 1u);  // the single output node
-      s[0] += 10.0;
-    }
-  };
-  Workspace ws;
-  const double out = net.evaluate_hooked(x, hooks, ws);
-  EXPECT_EQ(layers_seen, (std::vector<std::size_t>{1, 2}));
-  EXPECT_NEAR(out, net.evaluate(x) + 10.0, 1e-14);
-}
-
-TEST(Network, HookedWithoutHooksEqualsPlain) {
-  Rng rng(17);
-  const auto net = NetworkBuilder(3).hidden(5).hidden(4).build(rng);
-  Workspace ws;
-  const std::vector<double> x{0.2, 0.4, 0.9};
-  EXPECT_DOUBLE_EQ(net.evaluate_hooked(x, ForwardHooks{}, ws),
-                   net.evaluate(x, ws));
 }
 
 TEST(Network, SetActivationChangesOutput) {
@@ -255,16 +214,15 @@ TEST(Gradients, MatchFiniteDifferenceSensitivities) {
   const auto grads = output_gradients(net, trace);
   ASSERT_EQ(grads.size(), 2u);
 
-  // Perturb each y^(l)_j via a hook and compare the output delta.
+  // Perturb each y^(l)_j by h (a Byzantine neuron under the perturbation
+  // convention: y = y_nominal + h) and compare the output delta.
   const double h = 1e-6;
-  Workspace ws;
+  fault::Injector injector(net);
   for (std::size_t l = 1; l <= 2; ++l) {
     for (std::size_t j = 0; j < net.layer_width(l); ++j) {
-      ForwardHooks hooks;
-      hooks.post_activation = [&](std::size_t hl, std::span<double> y) {
-        if (hl == l) y[j] += h;
-      };
-      const double perturbed = net.evaluate_hooked(x, hooks, ws);
+      fault::FaultPlan plan;
+      plan.neurons = {{l, j, fault::NeuronFaultKind::kByzantine, h}};
+      const double perturbed = injector.damaged(plan, x);
       const double numeric = (perturbed - trace.output) / h;
       EXPECT_NEAR(grads[l - 1][j], numeric, 1e-4);
     }

@@ -5,8 +5,11 @@
 // behavior.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 
 #include "dist/boosting.hpp"
 #include "fault/injector.hpp"
@@ -152,7 +155,7 @@ void finish(Frontend& front, const PendingRequest& request) {
 }
 
 TEST(Frontend, IdsAndSplitsAreConsumedOnlyOnAcceptance) {
-  Frontend front("serve", "serve.rejected", 5, 2);
+  Frontend front("serve", "serve.rejected", 5, 2, 1);
   Accepted accepted;
   EXPECT_TRUE(front.submit({1.0}, std::ref(accepted)));
   EXPECT_TRUE(front.submit({2.0}, std::ref(accepted)));
@@ -180,7 +183,7 @@ TEST(Frontend, IdsAndSplitsAreConsumedOnlyOnAcceptance) {
 }
 
 TEST(Frontend, SubmitBatchAcceptsAPrefixAndShedsTheRest) {
-  Frontend front("serve", "serve.rejected", 5, 3);
+  Frontend front("serve", "serve.rejected", 5, 3, 1);
   const std::vector<std::vector<double>> batch{{0.0}, {1.0}, {2.0}, {3.0},
                                                {4.0}};
   Accepted accepted;
@@ -199,9 +202,38 @@ TEST(Frontend, SubmitBatchAcceptsAPrefixAndShedsTheRest) {
   EXPECT_EQ(front.metrics().counter("serve.rejected").value(), 7);
 }
 
+TEST(Frontend, MalformedRequestsAreCountedInvalidAndConsumeNoId) {
+  Frontend front("serve", "serve.rejected", 5, 4, 2);
+  Accepted accepted;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(front.submit({1.0}, std::ref(accepted)));  // wrong shape
+  EXPECT_FALSE(front.submit({1.0, nan}, std::ref(accepted)));
+  EXPECT_FALSE(front.submit({-inf, 1.0}, std::ref(accepted)));
+  EXPECT_TRUE(front.submit({1.0, 2.0}, std::ref(accepted)));
+  EXPECT_EQ(accepted.requests.size(), 1u);
+  EXPECT_EQ(accepted.requests[0].id, 0u);
+  EXPECT_EQ(accepted.requests[0].rng.state(), Rng(5).split().state());
+
+  // A malformed request ends a batch's prefix; what follows it is neither
+  // admitted nor counted.
+  const std::vector<std::vector<double>> batch{
+      {0.0, 0.1}, {0.2, 0.3}, {nan, 0.0}, {0.4, 0.5}};
+  EXPECT_EQ(front.submit_batch(batch, std::ref(accepted)), 2u);
+  ASSERT_EQ(accepted.requests.size(), 3u);
+  EXPECT_EQ(accepted.requests[2].id, 2u);
+  EXPECT_EQ(front.next_id(), 3u);
+  // Room for one more: the well-formed overflow before the malformed
+  // request is shed, the malformed one counts invalid.
+  EXPECT_EQ(front.submit_batch(batch, std::ref(accepted)), 1u);
+  EXPECT_EQ(front.metrics().counter("serve.invalid").value(), 5);
+  EXPECT_EQ(front.report(1).rejected, 1u);
+  EXPECT_EQ(front.pending(), 4u);
+}
+
 TEST(Frontend, RestartGivesIdsFromZeroAReseededStreamAndAZeroedReport) {
   const auto net = serve_net();
-  Frontend front("transport", "transport.shed", 9, 4);
+  Frontend front("transport", "transport.shed", 9, 4, 1);
   FaultTimeline timeline;
   fault::FaultPlan crash;
   crash.neurons = {{1, 0, fault::NeuronFaultKind::kCrash, 0.0}};
@@ -220,7 +252,7 @@ TEST(Frontend, RestartGivesIdsFromZeroAReseededStreamAndAZeroedReport) {
   EXPECT_EQ(before.rejected, 1u);
   EXPECT_EQ(before.resets_sent, 12u);
 
-  front.restart(11, 1);
+  front.restart(11, 1, 1);
   EXPECT_EQ(front.next_id(), 0u);
   EXPECT_EQ(front.pending(), 0u);
   EXPECT_TRUE(front.timeline().active_at(0).empty());
@@ -396,6 +428,47 @@ TEST(Serve, EquivalenceWithSequentialRunBoosting) {
   EXPECT_NEAR(pool.report().completion.mean,
               total_completion / static_cast<double>(workload.size()), 1e-12);
   EXPECT_NEAR(pool.report().completion.mean, report.mean_boosted_time, 1e-12);
+}
+
+TEST(Serve, MalformedRequestsAreRefusedAndThePoolKeepsServing) {
+  // A wrong-shape or non-finite request is refused with a status, never
+  // aborts the server, and consumes no id: the accepted stream is
+  // bit-identical to a pool that never saw the malformed requests.
+  const auto net = serve_net();
+  const auto workload = serve_workload(4);
+  ServeConfig config;
+  config.replicas = 2;
+  config.latency = heavy_tail();
+  config.seed = 5;
+  ReplicaPool pool(net, config);
+  auto nan_input = workload[1];
+  nan_input[2] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(pool.submit(workload[0]));
+  EXPECT_FALSE(pool.submit({0.1, 0.2}));
+  EXPECT_FALSE(pool.submit(nan_input));
+  EXPECT_TRUE(pool.submit(workload[1]));
+  const std::vector<std::vector<double>> batch{workload[2], nan_input,
+                                               workload[3]};
+  EXPECT_EQ(pool.submit_batch(batch), 1u);
+  EXPECT_TRUE(pool.submit(workload[3]));
+  const auto served = pool.drain();
+
+  ReplicaPool reference(net, config);
+  ASSERT_EQ(reference.submit_batch(workload), workload.size());
+  const auto expected = reference.drain();
+  ASSERT_EQ(served.size(), expected.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].id, i);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(served[i].output),
+              std::bit_cast<std::uint64_t>(expected[i].output))
+        << i;
+  }
+  std::int64_t invalid = -1;
+  for (const auto& row : pool.metrics().snapshot().counters) {
+    if (row.name == "serve.invalid") invalid = row.value;
+  }
+  EXPECT_EQ(invalid, 3);
+  EXPECT_EQ(pool.report().rejected, 0u);
 }
 
 TEST(Serve, BoundedQueueShedsLoadWithoutPerturbingAcceptedRequests) {

@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -551,6 +552,59 @@ TEST(WorkerHost, BoundedQueueShedsAsTransportBackpressure) {
   const auto next = host.drain();
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].id, 8u);
+}
+
+TEST(WorkerHost, MalformedRequestsAreRefusedAndTheFleetKeepsServing) {
+  SKIP_WITHOUT_TRANSPORT();
+  // The fleet refuses what the pool refuses, through the same front: no
+  // abort, no id consumed, and the accepted stream matches a fleet that
+  // never saw the malformed requests. The shape follows the bound network
+  // across a rebind.
+  const auto net = transport_net();
+  const auto workload = transport_workload(4);
+  TransportConfig config;
+  config.workers = 2;
+  config.latency = heavy_tail();
+  config.seed = 5;
+  WorkerHost host(net, config);
+  auto nan_input = workload[1];
+  nan_input[0] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(host.submit(workload[0]));
+  EXPECT_FALSE(host.submit({0.1, 0.2, 0.3, 0.4}));
+  EXPECT_FALSE(host.submit(nan_input));
+  EXPECT_TRUE(host.submit(workload[1]));
+  const std::vector<std::vector<double>> batch{workload[2], nan_input,
+                                               workload[3]};
+  EXPECT_EQ(host.submit_batch(batch), 1u);
+  EXPECT_TRUE(host.submit(workload[3]));
+  const auto served = host.drain();
+  auto invalid_count = [&host] {
+    for (const auto& row : host.metrics().snapshot().counters) {
+      if (row.name == "transport.invalid") return row.value;
+    }
+    return std::int64_t{-1};
+  };
+  EXPECT_EQ(invalid_count(), 3);
+  EXPECT_EQ(host.report().rejected, 0u);
+
+  WorkerHost reference(net, config);
+  ASSERT_EQ(reference.submit_batch(workload), workload.size());
+  const auto expected = reference.drain();
+  ASSERT_EQ(served.size(), expected.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].id, i);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(served[i].output),
+              std::bit_cast<std::uint64_t>(expected[i].output))
+        << i;
+  }
+
+  Rng rng(9);
+  const auto wide = nn::NetworkBuilder(5).hidden(4).build(rng);
+  host.rebind(wide);
+  EXPECT_FALSE(host.submit(workload[0]));  // the old shape
+  EXPECT_TRUE(host.submit({0.1, 0.2, 0.3, 0.4, 0.5}));
+  EXPECT_EQ(host.drain().size(), 1u);
+  EXPECT_EQ(invalid_count(), 1);
 }
 
 TEST(WorkerHost, AsyncPollWaitBitIdenticalToDrainUnderFaults) {
