@@ -344,7 +344,7 @@ int main(int argc, char** argv) {
     ::kill(host->health_pid(wedged), SIGSTOP);
     WNF_ASSERT(host->submit_batch(workload) == total);
 
-    // Scripted burst kills also bump restarts(), so wait on the counter
+    // Scripted burst kills also bump worker_restarts, so wait on the counter
     // only the watchdog can move. Delivery stalls at the wedged worker's
     // first id until the respawn, then flows again.
     std::vector<serve::RequestResult> delivered;

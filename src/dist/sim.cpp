@@ -174,10 +174,7 @@ void NetworkSimulator::run(std::span<const double> x,
   const std::size_t depth = net_.layer_count();
   WNF_EXPECTS(wait_counts.size() == depth || wait_counts.size() == depth + 1);
 
-  for (auto& result : results) {
-    result = SimResult{};
-    result.layer_fire_times.reserve(depth);
-  }
+  for (auto& result : results) result = SimResult{};
   double barriers[Lanes];
 
   // State entering each round: what every sender of the previous set
@@ -214,13 +211,6 @@ void NetworkSimulator::run(std::span<const double> x,
         continue;
       }
       std::fill_n(fire_.begin() + fault.neuron * Lanes, Lanes, 0.0);
-    }
-    for (std::size_t b = 0; b < Lanes; ++b) {
-      double layer_fire = 0.0;
-      for (std::size_t j = 0; j < width; ++j) {
-        layer_fire = std::max(layer_fire, fire_[j * Lanes + b]);
-      }
-      results[b].layer_fire_times.push_back(layer_fire);
     }
 
     auto& history = history_next_[l - 1];

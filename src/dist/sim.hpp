@@ -59,8 +59,6 @@ struct SimResult {
   double completion_time = 0.0;  ///< when the output client has heard every
                                  ///< layer-L sender it waits for (the full
                                  ///< layer unless an output cut is active)
-  std::vector<double> layer_fire_times;  ///< per layer l in 1..L: when the
-                                         ///< slowest neuron of l fired
   std::size_t resets_sent = 0;   ///< receiver->sender reset messages
                                  ///< (Section V-B accounting); 0 unboosted
 };

@@ -23,6 +23,14 @@ struct Submitted {
   std::uint32_t tenant = 0;
 };
 
+/// The driver's view of one pipeline: its admitted requests awaiting
+/// results, and its invalid count as last read (a refused submit that
+/// moves it was malformed, not shed).
+struct PipeState {
+  std::deque<Submitted> submitted;
+  std::size_t invalid_seen = 0;
+};
+
 }  // namespace
 
 LoadReport replay(const ArrivalTrace& trace,
@@ -35,9 +43,11 @@ LoadReport replay(const ArrivalTrace& trace,
   WNF_EXPECTS(config.time_scale > 0.0);
   WNF_EXPECTS(config.idle_nap_seconds >= 0.0);
   const std::chrono::duration<double> idle_nap(config.idle_nap_seconds);
-  for (Pipeline* pipe : pipes) {
-    WNF_EXPECTS(pipe != nullptr);
-    WNF_EXPECTS(pipe->outstanding() == 0);
+  std::vector<PipeState> state(pipes.size());
+  for (std::size_t p = 0; p < pipes.size(); ++p) {
+    WNF_EXPECTS(pipes[p] != nullptr);
+    WNF_EXPECTS(pipes[p]->outstanding() == 0);
+    state[p].invalid_seen = pipes[p]->invalid();
   }
   if (collected) collected->assign(pipes.size(), {});
   const obs::ScopedSpan replay_span(obs::TraceName::kReplay, 0, trace.size());
@@ -53,7 +63,6 @@ LoadReport replay(const ArrivalTrace& trace,
     ++report.tenants[arrival.tenant].offered;
   }
 
-  std::vector<std::deque<Submitted>> submitted(pipes.size());
   SampleHistogram sojourns;
   sojourns.reserve(trace.size());
   std::vector<SampleHistogram> tenant_sojourns(report.tenants.size());
@@ -124,9 +133,9 @@ LoadReport replay(const ArrivalTrace& trace,
     for (std::size_t p = 0; p < pipes.size(); ++p) {
       while (pipes[p]->poll(ready)) {
         any = true;
-        WNF_ASSERT(!submitted[p].empty());
-        const Submitted entry = submitted[p].front();
-        submitted[p].pop_front();
+        WNF_ASSERT(!state[p].submitted.empty());
+        const Submitted entry = state[p].submitted.front();
+        state[p].submitted.pop_front();
         last_delivery = elapsed();
         const double sojourn = last_delivery - entry.scheduled;
         sojourns.add(sojourn);
@@ -174,13 +183,20 @@ LoadReport replay(const ArrivalTrace& trace,
       continue;
     }
     if (!pipes[p]->try_submit(inputs[i % inputs.size()])) {
-      ++report.shed_queue;
-      ++tenant.shed;
+      const std::size_t invalid = pipes[p]->invalid();
+      if (invalid != state[p].invalid_seen) {
+        state[p].invalid_seen = invalid;
+        ++report.invalid;
+        ++tenant.invalid;
+      } else {
+        ++report.shed_queue;
+        ++tenant.shed;
+      }
       continue;
     }
     ++report.admitted;
     ++tenant.admitted;
-    submitted[p].push_back({target, arrival.tenant});
+    state[p].submitted.push_back({target, arrival.tenant});
   }
 
   // Tail drain: the schedule is over, but the open-loop contract still

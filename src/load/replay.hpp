@@ -52,6 +52,12 @@ class Pipeline {
   /// Requests accepted and not yet delivered.
   virtual std::size_t outstanding() const = 0;
 
+  /// Submissions this deployment refused as malformed so far (its front's
+  /// `<runtime>.invalid` counter). The replayer reads it only after a
+  /// refused try_submit, to tell a malformed request from a full queue; a
+  /// pipeline that cannot tell reports 0, and its refusals count as shed.
+  virtual std::size_t invalid() const { return 0; }
+
   /// The deployment's own aggregate view (simulated-time percentiles,
   /// frame counters, ...). The replayer's LoadReport measures wall-clock
   /// sojourn on top of this, not instead of it.
@@ -67,6 +73,7 @@ class PoolPipeline final : public Pipeline {
   }
   bool poll(serve::RequestResult& out) override { return pool_.poll(out); }
   std::size_t outstanding() const override { return pool_.pending(); }
+  std::size_t invalid() const override { return pool_.invalid(); }
   serve::ServeReport report() const override { return pool_.report(); }
 
  private:
@@ -84,6 +91,7 @@ class HostPipeline final : public Pipeline {
   }
   bool poll(serve::RequestResult& out) override { return host_.poll(out); }
   std::size_t outstanding() const override { return host_.pending(); }
+  std::size_t invalid() const override { return host_.invalid(); }
   serve::ServeReport report() const override { return host_.report(); }
 
  private:
@@ -134,6 +142,7 @@ struct TenantStats {
   std::size_t admitted = 0;   ///< submitted and accepted
   std::size_t completed = 0;  ///< delivered back through poll()
   std::size_t shed = 0;       ///< all shed kinds combined
+  std::size_t invalid = 0;    ///< refused as malformed (not shed)
   double p50 = 0.0;           ///< wall-clock sojourn percentiles (seconds
   double p99 = 0.0;           ///< from *scheduled* arrival to delivery)
 };
@@ -150,6 +159,8 @@ struct LoadReport {
   std::size_t shed_slo = 0;         ///< dropped: past slo_seconds late
   std::size_t shed_admission = 0;   ///< dropped: admission_limit reached
   std::size_t shed_queue = 0;       ///< dropped: deployment queue refused
+  std::size_t invalid = 0;          ///< refused as malformed (wrong size or
+                                    ///< a non-finite value), not shed
   double wall_seconds = 0.0;        ///< replay start to last delivery
   double offered_rps = 0.0;         ///< offered / (duration * time_scale)
   double completed_rps = 0.0;       ///< completed / wall_seconds

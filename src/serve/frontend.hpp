@@ -138,6 +138,11 @@ class Frontend {
 
   /// Requests accepted and not yet delivered.
   std::size_t pending() const { return outstanding_; }
+  /// Submissions refused as malformed (`<runtime>.invalid`) since
+  /// construction or the last restart().
+  std::size_t invalid() const {
+    return static_cast<std::size_t>(invalid_count_->value());
+  }
   std::uint64_t next_id() const { return next_id_; }
   /// High bits of this deployment's async trace ids (request-id low bits).
   std::uint64_t trace_tag() const { return trace_tag_; }

@@ -94,6 +94,8 @@ class ReplicaPool {
   const obs::MetricsRegistry& metrics() const { return front_.metrics(); }
   /// Requests accepted and not yet delivered through poll()/wait().
   std::size_t pending() const { return front_.pending(); }
+  /// Submissions refused as malformed (Frontend::invalid).
+  std::size_t invalid() const { return front_.invalid(); }
   std::uint64_t next_request_id() const { return front_.next_id(); }
   const nn::FeedForwardNetwork& network() const { return net_; }
 

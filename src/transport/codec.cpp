@@ -81,16 +81,6 @@ class Reader {
     return s;
   }
 
-  /// Bulk copy of `n` bytes in one bounds check — for nested payloads
-  /// (the rebind frame's inner bind can be a whole serialized network).
-  std::vector<std::uint8_t> bytes(std::size_t n) {
-    if (!take(n)) return {};
-    std::vector<std::uint8_t> out(bytes_.begin() + static_cast<long>(at_),
-                                  bytes_.begin() + static_cast<long>(at_ + n));
-    at_ += n;
-    return out;
-  }
-
   /// Element-count guard for vectors: a lying count must fail the bounds
   /// check now, not allocate first. `unit` is the encoded size per element.
   bool fits(std::uint64_t count, std::size_t unit) {
@@ -228,7 +218,6 @@ ParseStatus Codec::try_parse(std::vector<std::uint8_t>& buffer, Frame& frame) {
     case MessageType::kBind:
     case MessageType::kSegments:
     case MessageType::kShutdown:
-    case MessageType::kRebind:
     case MessageType::kTelemetry:
       break;
     default:
@@ -380,41 +369,6 @@ std::optional<TelemetryMsg> Codec::decode_telemetry(
     event.kind = static_cast<obs::EventKind>(kind);
   }
   if (!reader.exhausted()) return std::nullopt;
-  return msg;
-}
-
-// ---------------------------------------------------------------- rebind
-
-std::vector<std::uint8_t> Codec::encode_rebind(const RebindMsg& msg) {
-  // The two inner payloads are length-prefixed so the decoder can hand
-  // each to its own codec (which enforces its own exhaustion check).
-  const auto bind = encode_bind(msg.bind);
-  const auto segments = encode_segments(msg.segments);
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + bind.size() + segments.size());
-  put_u32(out, static_cast<std::uint32_t>(bind.size()));
-  out.insert(out.end(), bind.begin(), bind.end());
-  put_u32(out, static_cast<std::uint32_t>(segments.size()));
-  out.insert(out.end(), segments.begin(), segments.end());
-  return out;
-}
-
-std::optional<RebindMsg> Codec::decode_rebind(
-    const std::vector<std::uint8_t>& payload) {
-  Reader reader(payload);
-  const std::uint32_t bind_size = reader.u32();
-  const std::vector<std::uint8_t> bind_bytes = reader.bytes(bind_size);
-  const std::uint32_t segments_size = reader.u32();
-  const std::vector<std::uint8_t> segments_bytes =
-      reader.bytes(segments_size);
-  if (!reader.exhausted()) return std::nullopt;
-  RebindMsg msg;
-  auto bind = decode_bind(bind_bytes);
-  if (!bind) return std::nullopt;
-  msg.bind = std::move(*bind);
-  auto segments = decode_segments(segments_bytes);
-  if (!segments) return std::nullopt;
-  msg.segments = std::move(*segments);
   return msg;
 }
 

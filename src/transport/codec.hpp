@@ -3,7 +3,7 @@
 // Every message between a WorkerHost and a Worker process is one frame:
 //
 //   u32 magic      "WNF1" (0x574E4631)      | fixed 20-byte header,
-//   u16 version    protocol version (= 5)   | little-endian on the wire
+//   u16 version    protocol version (= 6)   | little-endian on the wire
 //   u16 type       MessageType              | whatever the host CPU is
 //   u32 size       payload bytes that follow
 //   u64 checksum   FNV-1a 64 over the payload
@@ -19,19 +19,21 @@
 //                              host timebase)
 //   Bind       host -> worker  network + simulator/latency/cut config
 //   Segments   host -> worker  the timeline's per-segment fault plans
-//   Rebind     host -> worker  Bind + Segments in one atomic swap, so a
-//                              fleet serves many campaigns without
-//                              re-forking
 //   Telemetry  worker -> host  the worker's trace-ring contents, flushed on
-//                              Shutdown and before applying a Rebind
+//                              Shutdown and before applying a Bind
 //   Shutdown   host -> worker  exit cleanly
 //
+// A worker learns a deployment one way, fresh or live: a Bind, then a
+// Segments frame. That is how a persistent fleet serves many campaigns
+// without re-forking; probes stamped after both frames wait for both.
+//
 // Protocol v5 retired the socket probe frames (Request/Result and
-// BatchRequest/BatchResult); their type numbers stay unassigned, and the
-// remaining messages keep theirs. Version hygiene: a frame whose magic is
-// right but whose version is not ours parses as kWrongVersion — a distinct
-// rejection from kMalformed, so a cross-version peer is reported as such
-// instead of as stream corruption.
+// BatchRequest/BatchResult) and v6 the composite Rebind frame; their type
+// numbers stay unassigned, and the remaining messages keep theirs.
+// Version hygiene: a frame whose magic is right but whose version is not
+// ours parses as kWrongVersion — a distinct rejection from kMalformed, so
+// a cross-version peer is reported as such instead of as stream
+// corruption.
 //
 // Payloads are explicit little-endian primitives (doubles as IEEE-754 bit
 // patterns), so a frame is a byte-exact artifact: the same network or
@@ -61,7 +63,7 @@
 namespace wnf::transport {
 
 inline constexpr std::uint32_t kFrameMagic = 0x574E4631u;  // "WNF1"
-inline constexpr std::uint16_t kProtocolVersion = 5;
+inline constexpr std::uint16_t kProtocolVersion = 6;
 inline constexpr std::size_t kFrameHeaderSize = 20;
 /// Sanity cap on payload size (a lying length field must not trigger a
 /// multi-gigabyte allocation before the checksum can reject the frame).
@@ -72,9 +74,8 @@ enum class MessageType : std::uint16_t {
   kBind = 2,        ///< host -> worker: network + simulator/latency/cut config
   kSegments = 3,    ///< host -> worker: the timeline's per-segment fault plans
   kShutdown = 6,    ///< host -> worker: exit cleanly
-  kRebind = 9,      ///< host -> worker: swap network/config/segments live
   kTelemetry = 10,  ///< worker -> host: the worker's trace-ring contents,
-                    ///< flushed on Shutdown and before applying a Rebind
+                    ///< flushed on Shutdown and before applying a Bind
 };
 
 /// One decoded frame: the type plus its raw payload bytes.
@@ -94,8 +95,9 @@ struct HelloMsg {
   std::uint64_t clock_ns = 0;
 };
 
-/// host -> worker: everything a fresh worker process needs to become a
-/// simulator replica. Sent once after spawn (and again after a respawn).
+/// host -> worker: everything a worker process needs to become a simulator
+/// replica. Sent after every spawn and on every rebind, each time followed
+/// by a Segments frame.
 struct BindMsg {
   std::string network_text;  ///< nn::save_network v1 text
   dist::SimConfig sim;
@@ -111,17 +113,6 @@ struct BindMsg {
 /// plan only when consecutive requests change segments.
 struct SegmentsMsg {
   std::vector<fault::FaultPlan> plans;
-};
-
-/// host -> worker: atomically swap a live worker onto a new deployment —
-/// network, simulator/latency/cut configuration, and timeline segments in
-/// one frame. This is how a persistent fleet serves many campaigns without
-/// re-forking: the host resets its request-id stream and root RNG, the
-/// worker rebuilds its replica, and the rebound deployment is bit-identical
-/// to a freshly constructed one.
-struct RebindMsg {
-  BindMsg bind;
-  SegmentsMsg segments;
 };
 
 /// worker -> host: the worker's trace-ring contents. Events are in the
@@ -174,13 +165,6 @@ class Codec {
 
   static std::vector<std::uint8_t> encode_segments(const SegmentsMsg& msg);
   static std::optional<SegmentsMsg> decode_segments(
-      const std::vector<std::uint8_t>& payload);
-
-  // The rebind decoder length-prefixes its inner bind and segments
-  // payloads and rejects any disagreement between the prefixes and the
-  // actual bytes.
-  static std::vector<std::uint8_t> encode_rebind(const RebindMsg& msg);
-  static std::optional<RebindMsg> decode_rebind(
       const std::vector<std::uint8_t>& payload);
 
   // The telemetry decoder bounds-checks the event count and rejects

@@ -183,14 +183,14 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
   front_.restart(config_.seed, config_.queue_capacity, net_->input_dim());
   script_.clear();
   deaths_without_progress_ = 0;
-  // Live workers swap state atomically via one kRebind frame, built from
-  // the cached control payloads (the network serializes once per content
-  // change, not once per worker per rebind). A worker whose applied
-  // deployment already matches skips the send entirely — a repeated
-  // campaign on identical state ships zero rebind bytes — except when
-  // tracing is on, because the kRebind frame is also the worker's
-  // telemetry flush boundary. Workers a previous crash script left dead
-  // rejoin the fleet (spawn() binds them to the new network directly).
+  // Live workers get the cached Bind + Segments frames a spawn ships (the
+  // network serializes once per content change, not once per worker per
+  // rebind); the pipeline is idle, and every probe stamped after both
+  // frames waits for both. A worker whose applied deployment already
+  // matches skips the send entirely — a repeated campaign on identical
+  // state ships zero bytes — except when tracing is on, because the Bind
+  // frame is also the worker's telemetry flush boundary. Workers a
+  // previous crash script left dead rejoin the fleet through spawn().
   refresh_control_frames();
   if (net_->input_dim() > slot_doubles()) {
     // Inputs wider than a request slot: the fleet shuts down, maps wider
@@ -204,10 +204,7 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
     WorkerState& worker = workers_[w];
     if (worker.alive) {
       if (worker.control_gen != control_gen_ || obs::enabled()) {
-        worker.outbox.insert(worker.outbox.end(), rebind_frame_.begin(),
-                             rebind_frame_.end());
-        ++worker.epoch;
-        worker.control_gen = control_gen_;
+        enqueue_deployment(worker);
       }
     } else {
       worker.blocked_until = 0;
@@ -372,10 +369,7 @@ void WorkerHost::spawn(std::size_t w) {
   }
   // An unbound fleet forks and greets but ships nothing; the first
   // rebind() supplies the network.
-  if (net_ != nullptr) {
-    enqueue_bind(worker);
-    enqueue_segments(worker);
-  }
+  if (net_ != nullptr) enqueue_deployment(worker);
 }
 
 BindMsg WorkerHost::make_bind() const {
@@ -393,53 +387,33 @@ BindMsg WorkerHost::make_bind() const {
 void WorkerHost::refresh_control_frames(bool refresh_bind) {
   WNF_ASSERT(net_ != nullptr);
   bool changed = false;
+  const auto refresh = [&changed](std::vector<std::uint8_t>& cached,
+                                  std::vector<std::uint8_t> frame) {
+    if (frame == cached) return;
+    cached = std::move(frame);
+    changed = true;
+  };
   // Serializing the network (make_bind) dominates this refresh, so
-  // timeline-only changes (set_timeline) skip it: the bind payload depends
-  // only on the bound network and the construction-time config, neither of
-  // which a timeline swap can touch.
+  // timeline-only changes (set_timeline) skip it: the Bind frame depends
+  // only on the bound network and the construction-time config, neither
+  // of which a timeline swap can touch.
   if (refresh_bind) {
-    auto payload = Codec::encode_bind(make_bind());
-    if (payload != bind_payload_) {
-      bind_frame_ = Codec::encode(MessageType::kBind, payload);
-      bind_payload_ = std::move(payload);
-      changed = true;
-    }
+    refresh(bind_frame_, Codec::encode(MessageType::kBind,
+                                       Codec::encode_bind(make_bind())));
   }
-  {
-    auto payload = Codec::encode_segments(make_segments(front_.timeline()));
-    if (payload != segments_payload_) {
-      segments_frame_ = Codec::encode(MessageType::kSegments, payload);
-      segments_payload_ = std::move(payload);
-      changed = true;
-    }
-  }
-  if (changed) {
-    // The rebind payload is its two constituents, each length-prefixed
-    // (codec.cpp encode_rebind); rebuild it from the cached payload bytes
-    // so an unchanged network never re-serializes.
-    std::vector<std::uint8_t> payload;
-    payload.reserve(8 + bind_payload_.size() + segments_payload_.size());
-    const auto put_u32 = [&payload](std::uint32_t v) {
-      payload.push_back(static_cast<std::uint8_t>(v));
-      payload.push_back(static_cast<std::uint8_t>(v >> 8));
-      payload.push_back(static_cast<std::uint8_t>(v >> 16));
-      payload.push_back(static_cast<std::uint8_t>(v >> 24));
-    };
-    put_u32(static_cast<std::uint32_t>(bind_payload_.size()));
-    payload.insert(payload.end(), bind_payload_.begin(), bind_payload_.end());
-    put_u32(static_cast<std::uint32_t>(segments_payload_.size()));
-    payload.insert(payload.end(), segments_payload_.begin(),
-                   segments_payload_.end());
-    rebind_frame_ = Codec::encode(MessageType::kRebind, std::move(payload));
-    ++control_gen_;
-  }
+  refresh(segments_frame_,
+          Codec::encode(MessageType::kSegments,
+                        Codec::encode_segments(
+                            make_segments(front_.timeline()))));
+  if (changed) ++control_gen_;
 }
 
-void WorkerHost::enqueue_bind(WorkerState& worker) {
+void WorkerHost::enqueue_deployment(WorkerState& worker) {
   WNF_ASSERT(!bind_frame_.empty());
   worker.outbox.insert(worker.outbox.end(), bind_frame_.begin(),
                        bind_frame_.end());
   ++worker.epoch;
+  enqueue_segments(worker);
 }
 
 void WorkerHost::enqueue_segments(WorkerState& worker) {
@@ -447,8 +421,8 @@ void WorkerHost::enqueue_segments(WorkerState& worker) {
   worker.outbox.insert(worker.outbox.end(), segments_frame_.begin(),
                        segments_frame_.end());
   ++worker.epoch;
-  // Segments always ship last in a bind/segments pair, so receiving them
-  // means the worker's applied state matches the current generation.
+  // Segments always ship last in a deployment, so receiving them means the
+  // worker's applied state matches the current generation.
   worker.control_gen = control_gen_;
 }
 
@@ -843,8 +817,8 @@ void WorkerHost::service_worker(std::size_t w, bool readable, bool writable) {
       continue;
     }
     // Besides the greeting, workers send only Telemetry: their trace
-    // rings, flushed at deployment boundaries (before a rebind applies,
-    // on shutdown). Anything else — telemetry before the handshake
+    // rings, flushed at deployment boundaries (before a Bind applies, on
+    // shutdown). Anything else — telemetry before the handshake
     // included — is a protocol violation: stop trusting the stream.
     if (frame.type != MessageType::kTelemetry || !worker.hello_seen ||
         !ingest_telemetry(worker, frame)) {

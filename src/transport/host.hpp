@@ -114,9 +114,10 @@ struct CrashWindow {
 ///
 /// A host is a *reusable fleet*: workers are forked once at construction
 /// and survive across campaigns — rebind() swaps the network, cut, seed,
-/// and timeline on the live processes (one kRebind frame each) and resets
-/// the request stream, making the rebound deployment bit-identical to a
-/// freshly constructed host without paying fork + network shipping again.
+/// and timeline on the live processes (the same Bind + Segments frames a
+/// spawn ships) and resets the request stream, making the rebound
+/// deployment bit-identical to a freshly constructed host without paying
+/// fork again.
 class WorkerHost {
  public:
   /// True when this platform supports the runtime (POSIX fork/socketpair).
@@ -134,15 +135,15 @@ class WorkerHost {
   explicit WorkerHost(TransportConfig config);
 
   /// Rebinds the live fleet to `net` (kept by reference; must outlive the
-  /// host): ships every worker one atomic kRebind frame, re-applies the
-  /// seed (ids restart at 0), clears the timeline and crash script, and
-  /// resets the per-deployment report — the rebound fleet serves exactly
-  /// what a freshly constructed host would, bit for bit, with zero new
-  /// forks. Workers a previous crash script left dead rejoin first. The
-  /// one exception is a network wider than the request slots: the fleet
-  /// shuts down, maps wider rings, and forks afresh (total_spawns()
-  /// counts it). Requires an idle pipeline (no request outstanding across
-  /// the swap).
+  /// host): ships every worker the Bind + Segments frames a spawn ships,
+  /// re-applies the seed (ids restart at 0), clears the timeline and
+  /// crash script, and resets the per-deployment report — the rebound
+  /// fleet serves exactly what a freshly constructed host would, bit for
+  /// bit, with zero new forks. Workers a previous crash script left dead
+  /// rejoin first. The one exception is a network wider than the request
+  /// slots: the fleet shuts down, maps wider rings, and forks afresh
+  /// (total_spawns() counts it). Requires an idle pipeline (no request
+  /// outstanding across the swap).
   void rebind(const nn::FeedForwardNetwork& net, RebindOptions options = {});
 
   /// False only between the unbound constructor and the first rebind().
@@ -181,6 +182,8 @@ class WorkerHost {
 
   /// Requests accepted and not yet delivered through poll()/wait().
   std::size_t pending() const { return front_.pending(); }
+  /// Submissions refused as malformed (serve::Frontend::invalid).
+  std::size_t invalid() const { return front_.invalid(); }
 
   /// Throughput, completion statistics, and process-fault counters
   /// (rejected / resubmitted / worker_restarts)
@@ -192,10 +195,6 @@ class WorkerHost {
 
   std::size_t worker_count() const { return workers_.size(); }
   std::size_t alive_workers() const;
-  std::size_t restarts() const { return counter_value(restarts_count_); }
-  std::size_t resubmitted() const {
-    return counter_value(resubmitted_count_);
-  }
   /// Worker processes forked over the fleet's lifetime (initial spawns +
   /// every respawn, across rebinds). The fork-at-most-once guarantee for
   /// repeated campaigns is `total_spawns() == worker_count()` plus however
@@ -211,22 +210,10 @@ class WorkerHost {
   std::size_t ring_slots_written() const {
     return counter_value(ring_slots_count_);
   }
-  /// Doorbell bytes exchanged (both directions) on the demoted socket.
-  std::size_t ring_doorbells() const {
-    return counter_value(ring_doorbells_count_);
-  }
   /// Torn result slots (worker died mid-write) detected and recovered by
   /// resubmission.
   std::size_t ring_torn_recovered() const {
     return counter_value(ring_torn_count_);
-  }
-  /// Host waits resolved by the bounded spin (no park).
-  std::size_t ring_spin_wakeups() const {
-    return counter_value(ring_spin_count_);
-  }
-  /// Host waits that parked on the socket for a doorbell.
-  std::size_t ring_sleep_wakeups() const {
-    return counter_value(ring_sleep_count_);
   }
   /// This deployment's metric registry (counters and latency histograms
   /// the report derives from) — live, for the metrics JSON exporter.
@@ -302,9 +289,8 @@ class WorkerHost {
     /// network maps a new one.
     std::shared_ptr<WorkerRings> rings;
     /// Control-plane frames enqueued to this worker process (bind,
-    /// segments, rebind). Stamped into each request slot so the worker
-    /// can defer ring probes that would overtake an in-flight control
-    /// frame.
+    /// segments). Stamped into each request slot so the worker can defer
+    /// ring probes that would overtake an in-flight control frame.
     std::uint64_t epoch = 0;
     /// The host control_gen_ this worker's applied deployment state
     /// matches; lets rebind() skip re-sending an identical deployment.
@@ -337,7 +323,9 @@ class WorkerHost {
   /// Clean shutdown of a live worker: Shutdown frame, final telemetry
   /// (when tracing), close, bounded reap (SIGKILL as the last resort).
   void retire(WorkerState& worker);
-  void enqueue_bind(WorkerState& worker);
+  /// Queues the cached Bind then Segments frame: the one way a worker
+  /// learns a deployment, whether freshly spawned or rebound live.
+  void enqueue_deployment(WorkerState& worker);
   void enqueue_segments(WorkerState& worker);
   BindMsg make_bind() const;
   /// Marks `w` dead, reaps the process, and moves its in-flight requests
@@ -372,12 +360,11 @@ class WorkerHost {
   bool spin_for_results();
   /// Queues one doorbell byte to `w` (flushed with the normal outbox).
   void ring_doorbell(std::size_t w);
-  /// Re-encodes the bind/segments control payloads iff their content
-  /// changed, rebuilding the cached frames and bumping control_gen_.
-  /// Every control-plane send path reuses the caches — one encode per
-  /// deployment change instead of one per worker per spawn/rebind.
-  /// refresh_bind=false skips re-serializing the network (timeline-only
-  /// changes cannot move the bind payload).
+  /// Re-encodes the Bind and Segments frames, bumping control_gen_ iff
+  /// either differs from its cache. Every control-plane send path reuses
+  /// the cached frames — one encode per refresh instead of one per worker
+  /// per spawn/rebind. refresh_bind=false skips re-serializing the network
+  /// (timeline-only changes cannot move the Bind frame).
   void refresh_control_frames(bool refresh_bind = true);
   /// Reads and frames everything `w`'s socket has (Hello, Telemetry,
   /// doorbells); EOF or a protocol violation declares the worker dead.
@@ -445,15 +432,12 @@ class WorkerHost {
   /// the resubmitted probe must ship clean or the fleet would relive the
   /// crash forever).
   bool tear_fired_ = false;
-  // Cached control-plane encodings (satellite: one encode per deployment
-  // change, not one per worker per spawn/rebind; identical rebinds skip
-  // the send entirely). control_gen_ counts content changes; workers
-  // record the generation they were last synced to.
-  std::vector<std::uint8_t> bind_payload_;
-  std::vector<std::uint8_t> segments_payload_;
+  // Cached control-plane frames (one encode per refresh, not one per
+  // worker per spawn/rebind; identical rebinds skip the send entirely).
+  // control_gen_ counts content changes; workers record the generation
+  // they were last synced to.
   std::vector<std::uint8_t> bind_frame_;
   std::vector<std::uint8_t> segments_frame_;
-  std::vector<std::uint8_t> rebind_frame_;
   std::uint64_t control_gen_ = 0;
 
   /// One cache line per worker of relaxed atomics — the only state the

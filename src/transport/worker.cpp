@@ -73,38 +73,26 @@ bool send_all(int fd, const std::vector<std::uint8_t>& bytes) {
   return true;
 }
 
-/// Installs a decoded BindMsg as the deployment state — shared by the
-/// spawn-time kBind frame and the live-fleet kRebind frame, so binding and
-/// rebinding cannot diverge.
-bool apply_bind(const BindMsg& msg, Binding& binding) {
-  std::istringstream text(msg.network_text);
+/// Installs a kBind frame as the deployment state, whether the worker was
+/// just spawned or is being rebound live. The Segments frame that follows
+/// supplies the timeline.
+bool apply_bind(const Frame& frame, Binding& binding) {
+  const auto msg = Codec::decode_bind(frame.payload);
+  if (!msg) return false;
+  std::istringstream text(msg->network_text);
   auto net = nn::load_network(text);
   if (!net) return false;
-  if (!msg.wait_counts.empty() &&
-      msg.wait_counts.size() != net->layer_count() + 1) {
+  if (!msg->wait_counts.empty() &&
+      msg->wait_counts.size() != net->layer_count() + 1) {
     return false;
   }
   binding.replica.reset();  // bound to the network about to be replaced
   binding.net = std::move(*net);
   binding.replica = std::make_unique<serve::Replica>(
-      binding.net, msg.sim, msg.latency,
-      std::vector<std::size_t>(msg.wait_counts.begin(),
-                               msg.wait_counts.end()));
+      binding.net, msg->sim, msg->latency,
+      std::vector<std::size_t>(msg->wait_counts.begin(),
+                               msg->wait_counts.end()));
   binding.segments.clear();
-  return true;
-}
-
-bool handle_bind(const Frame& frame, Binding& binding) {
-  const auto msg = Codec::decode_bind(frame.payload);
-  if (!msg) return false;
-  return apply_bind(*msg, binding);
-}
-
-bool handle_rebind(const Frame& frame, Binding& binding) {
-  auto msg = Codec::decode_rebind(frame.payload);
-  if (!msg) return false;
-  if (!apply_bind(msg->bind, binding)) return false;
-  binding.set_segments(std::move(msg->segments.plans));
   return true;
 }
 
@@ -135,7 +123,7 @@ bool evaluate_probe(const RequestSlot& req, Binding& binding,
 /// Ships the worker's trace ring as one Telemetry frame and
 /// clears it. A no-op when tracing recorded nothing (disabled or compiled
 /// out), so a quiet worker costs the wire nothing. Called at the
-/// deployment boundaries — Shutdown and just before a Rebind applies — so
+/// deployment boundaries — Shutdown and just before a Bind applies — so
 /// a SIGKILL loses exactly the events since the last boundary.
 bool flush_telemetry(int fd) {
   auto [events, dropped] = obs::TraceLog::instance().drain_thread_ring();
@@ -252,7 +240,10 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings& rings) {
       }
       switch (frame.type) {
         case MessageType::kBind:
-          if (!handle_bind(frame, binding)) return 1;
+          // The previous deployment's telemetry ships before the new one
+          // applies, so the host attributes every event to the deployment
+          // that produced it (a fresh worker has nothing to flush).
+          if (!flush_telemetry(fd) || !apply_bind(frame, binding)) return 1;
           ++applied_epoch;
           break;
         case MessageType::kSegments: {
@@ -262,14 +253,6 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings& rings) {
           ++applied_epoch;
           break;
         }
-        case MessageType::kRebind:
-          // The old deployment's telemetry ships before the swap applies,
-          // so the host attributes every event to the deployment that
-          // produced it.
-          if (!flush_telemetry(fd)) return 1;
-          if (!handle_rebind(frame, binding)) return 1;
-          ++applied_epoch;
-          break;
         case MessageType::kShutdown:
           return flush_telemetry(fd) ? 0 : 1;
         default:

@@ -22,18 +22,20 @@ class WorkerRings;
 
 /// Runs the worker protocol loop on `fd` (the worker end of the pair)
 /// until a shutdown frame, EOF (host closed or died), or a protocol
-/// violation. Sends a Hello first, then applies kBind/kSegments/kRebind
-/// control frames from the socket and serves probes from `rings` (the
-/// host's pre-fork shared mapping for this worker): each request slot is
+/// violation. Sends a Hello first, then applies kBind/kSegments control
+/// frames from the socket and serves probes from `rings` (the host's
+/// pre-fork shared mapping for this worker): each request slot is
 /// evaluated in place and answered through the result ring, while the
 /// socket carries only control frames and doorbell bytes. A worker
-/// outlives any single campaign: a kRebind swaps its whole replica state
-/// in place, which is what lets the host reuse one forked fleet across
-/// many run_trials cycles. Ring probes whose epoch is ahead of the control
-/// frames applied so far are deferred until the in-flight bind/segments
-/// lands, so the ring can never overtake the control channel. Returns the
-/// process exit code: 0 for a clean shutdown or host EOF, 1 for malformed
-/// input or an I/O error. Never returns on unsupported platforms (aborts).
+/// outlives any single campaign: a later kBind + kSegments pair swaps its
+/// whole replica state in place, exactly as the first pair built it, which
+/// is what lets the host reuse one forked fleet across many run_trials
+/// cycles. Each kBind first flushes the previous deployment's telemetry.
+/// Ring probes whose epoch is ahead of the control frames applied so far
+/// are deferred until the in-flight bind/segments lands, so the ring can
+/// never overtake the control channel. Returns the process exit code: 0
+/// for a clean shutdown or host EOF, 1 for malformed input or an I/O
+/// error. Never returns on unsupported platforms (aborts).
 int worker_main(int fd, std::uint32_t worker_index, WorkerRings& rings);
 
 }  // namespace wnf::transport

@@ -54,9 +54,6 @@ TEST(Simulator, CompletionTimeIsCriticalPath) {
   const auto result = sim.evaluate(x);
   // Critical path: slowest layer-1 neuron (5) + layer-2 latency (2).
   EXPECT_DOUBLE_EQ(result.completion_time, 7.0);
-  ASSERT_EQ(result.layer_fire_times.size(), 2u);
-  EXPECT_DOUBLE_EQ(result.layer_fire_times[0], 5.0);
-  EXPECT_DOUBLE_EQ(result.layer_fire_times[1], 7.0);
 }
 
 TEST(Simulator, CrashMatchesInjectorSemantics) {
@@ -343,8 +340,6 @@ TEST(Simulator, OutputCutDropsSlowestTopLayerSender) {
   fault::Injector injector(net);
   EXPECT_NEAR(boosted.output, injector.damaged(crash, x), 1e-12);
   EXPECT_DOUBLE_EQ(boosted.completion_time, 1.0);
-  // layer_fire_times still reports when the slow neuron itself fired.
-  EXPECT_DOUBLE_EQ(boosted.layer_fire_times[1], 100.0);
 }
 
 TEST(Simulator, OutputCutHoldLastReusesTopLayerHistory) {

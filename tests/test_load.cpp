@@ -367,6 +367,45 @@ TEST(Replay, QueueRefusalAndSloLatenessShedSeparately) {
   EXPECT_EQ(idle.outstanding(), 0u);
 }
 
+TEST(Replay, MalformedRequestsCountAsInvalidNotShed) {
+  // 2-wide inputs into a pool of a 3-input net: the front refuses every
+  // one as malformed, and the replay must say so instead of reporting a
+  // full queue.
+  const auto net = load_net(19);
+  serve::ServeConfig config;
+  config.replicas = 2;
+  config.seed = 5;
+  ArrivalTrace trace;
+  for (int i = 0; i < 98; ++i) trace.arrivals.push_back({i * 1e-5, 0});
+  trace.duration = 98e-5;
+  const std::vector<std::vector<double>> narrow{{0.1, 0.2}};
+  {
+    serve::ReplicaPool pool(net, config);
+    PoolPipeline pipe(pool);
+    Pipeline* const pipes[] = {&pipe};
+    const auto report = replay(trace, narrow, pipes, {});
+    EXPECT_EQ(report.admitted, 0u);
+    EXPECT_EQ(report.invalid, trace.size());
+    EXPECT_EQ(report.shed_queue, 0u);
+    ASSERT_EQ(report.tenants.size(), 1u);
+    EXPECT_EQ(report.tenants[0].invalid, trace.size());
+    EXPECT_EQ(report.tenants[0].shed, 0u);
+  }
+
+  // Interleaved with well-formed requests on a queue that has room for
+  // all of them: only the malformed half is refused, and none of it sheds.
+  std::vector<std::vector<double>> mixed = load_workload(1);
+  mixed.push_back({0.1, std::nan(""), 0.3});
+  serve::ReplicaPool pool(net, config);
+  PoolPipeline pipe(pool);
+  Pipeline* const pipes[] = {&pipe};
+  const auto report = replay(trace, mixed, pipes, {});
+  EXPECT_EQ(report.admitted, trace.size() / 2);
+  EXPECT_EQ(report.invalid, trace.size() / 2);
+  EXPECT_EQ(report.shed_queue, 0u);
+  EXPECT_EQ(report.completed, report.admitted);
+}
+
 /// Wraps a pipeline and spins for a fixed wall cost on every submission:
 /// a driver whose own submit path is slow enough to fall behind a bursty
 /// schedule now and then, though not behind its mean rate.

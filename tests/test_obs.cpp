@@ -591,6 +591,60 @@ TEST(ObsIntegration, WorkerRingFlushSurvivesSigkill) {
   EXPECT_GE(pids.size(), 2u);
 }
 
+/// Worker execute-span begins over every remote batch ingested so far.
+std::size_t remote_execute_spans() {
+  std::size_t spans = 0;
+  for (const RemoteEvents& batch : TraceLog::instance().remote()) {
+    for (const TraceEvent& event : batch.events) {
+      if (event.name == TraceName::kWorkerExecute &&
+          event.kind == EventKind::kSpanBegin) {
+        ++spans;
+      }
+    }
+  }
+  return spans;
+}
+
+// A rebind is a telemetry boundary: each worker flushes the first
+// deployment's spans before it applies the new one, so they reach the host
+// while the fleet is still serving — not only at shutdown, and never mixed
+// into the second deployment's flush.
+TEST(ObsIntegration, RebindFlushesTheFirstDeploymentsWorkerSpans) {
+  SKIP_WITHOUT_RECORDING();
+  if (!transport::transport_available()) {
+    GTEST_SKIP() << "no POSIX fork/socketpair on this platform";
+  }
+  const auto first_net = obs_net(13);
+  const auto second_net = obs_net(14);
+  const auto first = obs_workload(24, 21);
+  // More than two full in-flight windows: the host pumps again after it
+  // harvests a worker's first second-deployment result, and that worker's
+  // flush went out on the socket before the result did.
+  const auto second = obs_workload(160, 22);
+  transport::TransportConfig config;
+  config.workers = 2;
+  config.seed = 4242;
+
+  TraceSandbox sandbox;
+  {
+    transport::WorkerHost host(first_net, config);
+    EXPECT_EQ(host.submit_batch(first), first.size());
+    EXPECT_EQ(host.drain().size(), first.size());
+    EXPECT_EQ(remote_execute_spans(), 0u);  // nothing flushed yet
+
+    host.rebind(second_net);
+    EXPECT_EQ(host.submit_batch(second), second.size());
+    EXPECT_EQ(host.drain().size(), second.size());
+    // Only the first deployment has flushed: the second one's spans are
+    // still in the worker rings.
+    const std::size_t flushed = remote_execute_spans();
+    EXPECT_GE(flushed, 1u);
+    EXPECT_LE(flushed, first.size());
+  }
+  // Shutdown flushes the rest; no span was lost or shipped twice.
+  EXPECT_EQ(remote_execute_spans(), first.size() + second.size());
+}
+
 // --------------------------------------------------- histogram error bound
 
 // Satellite pin for the documented LogHistogram error bound: quantile()

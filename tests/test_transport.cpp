@@ -203,10 +203,12 @@ TEST(Codec, MalformedFramesAreRejectedNotInterpreted) {
     EXPECT_EQ(Codec::try_parse(bad, frame), ParseStatus::kMalformed);
   }
 
-  // The socket probe frames' type numbers (v4 Request/Result and
-  // BatchRequest/BatchResult) are unassigned in v5: malformed, never
+  // Retired type numbers are unassigned: the v4 socket probe frames
+  // (Request/Result and BatchRequest/BatchResult, retired in v5) and the
+  // composite Rebind frame (type 9, retired in v6). A well-framed frame of
+  // any of them — valid magic, version and checksum — is malformed, never
   // interpreted.
-  for (const std::uint8_t retired : {4, 5, 7, 8}) {
+  for (const std::uint8_t retired : {4, 5, 7, 8, 9}) {
     auto bad = good;
     bad[6] = retired;  // LE u16 type, low byte
     Frame frame;
@@ -237,14 +239,14 @@ TEST(Codec, MalformedFramesAreRejectedNotInterpreted) {
 
 TEST(Codec, CrossVersionFramesAreRejectedDistinctly) {
   // A structurally sound frame from another protocol version — older (a
-  // v4 peer's frame reaching this v5 parser) or newer (a v6 frame from
+  // v5 peer's frame reaching this v6 parser) or newer (a v7 frame from
   // some future peer) — is a version mismatch, not corruption. The
   // distinct status is the whole point: "incompatible peer" and "garbage
   // stream" demand different operator responses.
-  ASSERT_EQ(kProtocolVersion, 5u);
+  ASSERT_EQ(kProtocolVersion, 6u);
   const auto good =
       Codec::encode(MessageType::kHello, Codec::encode_hello({1, 2}));
-  for (const std::uint16_t version : {std::uint16_t{4}, std::uint16_t{6}}) {
+  for (const std::uint16_t version : {std::uint16_t{5}, std::uint16_t{7}}) {
     auto foreign = good;
     foreign[4] = static_cast<std::uint8_t>(version);  // LE u16 low byte
     foreign[5] = 0;
@@ -253,20 +255,19 @@ TEST(Codec, CrossVersionFramesAreRejectedDistinctly) {
         << "version " << version;
     EXPECT_EQ(foreign.size(), good.size());  // rejected, not consumed
   }
-  // A v4 peer's BatchResult frame is a version mismatch too, even though
-  // v5 retired its type number: which types exist depends on the version.
+  // A v5 peer's Rebind frame is a version mismatch too, even though v6
+  // retired its type number: which types exist depends on the version.
   {
-    auto batch_result = good;
-    batch_result[4] = 4;  // version 4
-    batch_result[6] = 8;  // the v4 BatchResult type number
+    auto rebind = good;
+    rebind[4] = 5;  // version 5
+    rebind[6] = 9;  // the v5 Rebind type number
     Frame frame;
-    EXPECT_EQ(Codec::try_parse(batch_result, frame),
-              ParseStatus::kWrongVersion);
+    EXPECT_EQ(Codec::try_parse(rebind, frame), ParseStatus::kWrongVersion);
   }
   // Corrupting the version *and* the magic is still just garbage.
   auto garbage = good;
   garbage[0] ^= 0x5a;
-  garbage[4] = 4;
+  garbage[4] = 5;
   Frame frame;
   EXPECT_EQ(Codec::try_parse(garbage, frame), ParseStatus::kMalformed);
 }
@@ -320,70 +321,6 @@ TEST(Codec, TelemetryFramesRoundTrip) {
   auto bad_kind = payload;
   bad_kind[4 + 8 + 4 + 8 + 8 + 8 + 2] = 0x7f;  // first event's kind byte
   EXPECT_FALSE(Codec::decode_telemetry(bad_kind).has_value());
-}
-
-TEST(Codec, RebindRoundTripsBindAndSegments) {
-  const auto net = transport_net(23);
-  RebindMsg rebind;
-  std::ostringstream text;
-  nn::save_network(net, text);
-  rebind.bind.network_text = text.str();
-  rebind.bind.sim.capacity = 1.5;
-  rebind.bind.latency = heavy_tail();
-  rebind.bind.wait_counts = {2, 4, 3, 1};
-  rebind.segments.plans = {fault::FaultPlan{}, sample_plan()};
-
-  auto stream =
-      Codec::encode(MessageType::kRebind, Codec::encode_rebind(rebind));
-  Frame frame;
-  ASSERT_EQ(Codec::try_parse(stream, frame), ParseStatus::kFrame);
-  ASSERT_EQ(frame.type, MessageType::kRebind);
-  const auto out = Codec::decode_rebind(frame.payload);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->bind.network_text, rebind.bind.network_text);
-  EXPECT_EQ(out->bind.sim.capacity, 1.5);
-  EXPECT_EQ(out->bind.latency.kind, dist::LatencyKind::kHeavyTail);
-  EXPECT_EQ(out->bind.wait_counts, rebind.bind.wait_counts);
-  ASSERT_EQ(out->segments.plans.size(), 2u);
-  EXPECT_TRUE(out->segments.plans[0].empty());
-  EXPECT_EQ(out->segments.plans[1].neurons.size(),
-            sample_plan().neurons.size());
-}
-
-TEST(Codec, MalformedRebindFramesAreRejected) {
-  const auto net = transport_net(29);
-  RebindMsg rebind;
-  std::ostringstream text;
-  nn::save_network(net, text);
-  rebind.bind.network_text = text.str();
-  rebind.segments.plans = {sample_plan()};
-  const auto rebind_payload = Codec::encode_rebind(rebind);
-
-  // Truncation anywhere — inside the bind length prefix, the bind bytes,
-  // the segments prefix, or the segments bytes — is rejected.
-  for (std::size_t keep : {std::size_t{0}, std::size_t{3}, std::size_t{4},
-                           std::size_t{10}, rebind_payload.size() - 1}) {
-    std::vector<std::uint8_t> cut(
-        rebind_payload.begin(),
-        rebind_payload.begin() + static_cast<long>(keep));
-    EXPECT_FALSE(Codec::decode_rebind(cut).has_value()) << keep;
-  }
-
-  // A lying inner-bind length must not be interpreted.
-  auto lying_bind = rebind_payload;
-  lying_bind[0] = 0xff;
-  lying_bind[1] = 0xff;
-  EXPECT_FALSE(Codec::decode_rebind(lying_bind).has_value());
-
-  // Garbage inner payloads fail the inner codecs even when the lengths
-  // are consistent.
-  auto garbage = rebind_payload;
-  garbage[4] ^= 0x5a;  // first byte of the bind payload
-  EXPECT_FALSE(Codec::decode_rebind(garbage).has_value());
-
-  auto trailing = rebind_payload;
-  trailing.push_back(0);
-  EXPECT_FALSE(Codec::decode_rebind(trailing).has_value());
 }
 
 // ------------------------------------------------------------- WorkerHost
@@ -495,7 +432,6 @@ TEST(WorkerHost, ScriptedSigkillResubmitsToSurvivorsAndRespawns) {
     EXPECT_EQ(report.completed, workload.size());
     EXPECT_EQ(report.worker_restarts, 2u) << workers << " workers";
     EXPECT_EQ(host.alive_workers(), workers);  // both recovered
-    EXPECT_EQ(host.restarts(), 2u);
   }
 }
 
@@ -1079,9 +1015,10 @@ TEST(WorkerHostRings, SigkillMidSlotLeavesTornSlotThatIsRecovered) {
 
   expect_bit_identical(served, expected, "torn-slot recovery");
   EXPECT_GE(host.ring_torn_recovered(), 1u);
-  EXPECT_GE(host.resubmitted(), 1u);  // the torn probe re-ran elsewhere
-  EXPECT_GE(host.restarts(), 1u);     // the dead worker rejoined
-  EXPECT_EQ(host.report().completed, workload.size());
+  const auto report = host.report();
+  EXPECT_GE(report.resubmitted, 1u);  // the torn probe re-ran elsewhere
+  EXPECT_GE(report.worker_restarts, 1u);  // the dead worker rejoined
+  EXPECT_EQ(report.completed, workload.size());
 }
 
 TEST(WorkerHostRings, RebindOnRingsServesRepeatedCampaignsBitIdentically) {
@@ -1260,9 +1197,10 @@ TEST(WorkerHostRings, ScriptedSigkillOnRingsMatchesReplicaPool) {
   ASSERT_EQ(host.submit_batch(workload), workload.size());
   const auto served = host.drain();
   expect_bit_identical(served, expected, "scripted kill rings vs pool");
-  EXPECT_GE(host.restarts(), 1u);
-  EXPECT_LE(host.resubmitted(), config.ring_capacity);
-  EXPECT_EQ(host.report().completed, workload.size());
+  const auto report = host.report();
+  EXPECT_GE(report.worker_restarts, 1u);
+  EXPECT_LE(report.resubmitted, config.ring_capacity);
+  EXPECT_EQ(report.completed, workload.size());
 }
 
 TEST(WorkerHostRings, TrickledPollDrivenTrafficNeverStalls) {
@@ -1747,7 +1685,8 @@ TEST(Monitoring, WatchdogForceRespawnsAWedgedWorkerBitIdentically) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   watchdog.stop();
-  EXPECT_GE(host.restarts(), 1u);  // the forced SIGKILL healed normally
+  // The forced SIGKILL healed normally.
+  EXPECT_GE(host.report().worker_restarts, 1u);
 
   ASSERT_EQ(served.size(), expected.size());
   for (std::size_t i = 0; i < served.size(); ++i) {
