@@ -29,7 +29,6 @@ NetworkSimulator::NetworkSimulator(const nn::FeedForwardNetwork& net,
   }
   sent_.reserve(max_width);
   arrival_.reserve(max_width);
-  incoming_.reserve(max_width);
   value_.reserve(max_width);
   fire_.reserve(max_width);
   order_.reserve(max_width);
@@ -119,7 +118,7 @@ void NetworkSimulator::reset_history() {
 }
 
 template <std::size_t Lanes>
-const std::vector<double>* NetworkSimulator::cut_stragglers(
+void NetworkSimulator::cut_stragglers(
     std::size_t wait_count, std::size_t receivers,
     const std::vector<double>* history_row, ResetPolicy policy,
     std::span<SimResult> results, double* barriers) {
@@ -132,22 +131,26 @@ const std::vector<double>* NetworkSimulator::cut_stragglers(
         barriers[b] = std::max(barriers[b], arrival_[i * Lanes + b]);
       }
     }
-    return &sent_;
+    return;
   }
   // Every receiver hears the same senders at the same times, so they share
-  // one wait set per lane: the `wait` earliest arrivals (ties broken by
-  // sender index). Stragglers past the cut are reset.
-  incoming_ = sent_;
+  // one wait set per lane: the `wait` earliest arrivals, ties broken by
+  // sender index. That order is total, so selecting the set (no sort, no
+  // buffer) picks exactly the senders a stable sort by arrival would, and
+  // its last member's arrival is the barrier. Stragglers past the cut are
+  // reset in place: layer_step reads sent_ next, and the history row was
+  // taken before the cut.
   order_.resize(fan_in);
   for (std::size_t b = 0; b < Lanes; ++b) {
     const auto arrival = [&](std::size_t i) { return arrival_[i * Lanes + b]; };
     std::iota(order_.begin(), order_.end(), 0);
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t c) {
-                       return arrival(a) < arrival(c);
-                     });
-    for (std::size_t k = 0; k < wait; ++k) {
-      barriers[b] = std::max(barriers[b], arrival(order_[k]));
+    if (wait > 0) {
+      std::nth_element(order_.begin(), order_.begin() + (wait - 1),
+                       order_.end(), [&](std::size_t a, std::size_t c) {
+                         return arrival(a) < arrival(c) ||
+                                (arrival(a) == arrival(c) && a < c);
+                       });
+      barriers[b] = std::max(barriers[b], arrival(order_[wait - 1]));
     }
     for (std::size_t k = wait; k < fan_in; ++k) {
       const std::size_t cut = order_[k];
@@ -156,12 +159,11 @@ const std::vector<double>* NetworkSimulator::cut_stragglers(
           history_row != nullptr) {
         substitute = (*history_row)[cut];
       }
-      incoming_[cut * Lanes + b] = substitute;
+      sent_[cut * Lanes + b] = substitute;
     }
     // Each receiver tells each straggler to stand down.
     results[b].resets_sent += (fan_in - wait) * receivers;
   }
-  return &incoming_;
 }
 
 template <std::size_t Lanes>
@@ -186,14 +188,14 @@ void NetworkSimulator::run(std::span<const double> x,
     const std::size_t width = widths_[l - 1];
     const std::vector<double>* hist =
         has_history_ && l >= 2 ? &history_[l - 2] : nullptr;
-    const std::vector<double>* inputs = cut_stragglers<Lanes>(
-        wait_counts[l - 1], width, hist, policy, results, barriers);
+    cut_stragglers<Lanes>(wait_counts[l - 1], width, hist, policy, results,
+                          barriers);
 
     // The shared fault step: affine (messages travel only along existing
     // edges; per-edge capacities clamp what each edge delivers), synapse
     // faults, activation, neuron faults, the capacity-C channel.
     value_.resize(width * Lanes);
-    fault::layer_step<Lanes>(net_, l, plan_, channel_, *inputs, value_);
+    fault::layer_step<Lanes>(net_, l, plan_, channel_, sent_, value_);
 
     // Fire on the local clock. A crashed process is silent and delays
     // nobody; a Byzantine one does not compute and fires at t = 0; a
@@ -231,10 +233,9 @@ void NetworkSimulator::run(std::span<const double> x,
                                    : sent_.size() / Lanes;
   const std::vector<double>* out_hist =
       has_history_ && depth >= 1 ? &history_[depth - 1] : nullptr;
-  const std::vector<double>* out_inputs =
-      cut_stragglers<Lanes>(out_wait, 1, out_hist, policy, results, barriers);
+  cut_stragglers<Lanes>(out_wait, 1, out_hist, policy, results, barriers);
   double outputs[Lanes];
-  fault::output_step<Lanes>(net_, plan_, *out_inputs, outputs);
+  fault::output_step<Lanes>(net_, plan_, sent_, outputs);
   for (std::size_t b = 0; b < Lanes; ++b) {
     results[b].output = outputs[b];
     results[b].completion_time = barriers[b];

@@ -66,7 +66,8 @@ struct SimResult {
 /// Deterministic event-level executor for one network. Holds per-neuron
 /// latencies, an active fault plan, the last transmitted values (the
 /// kHoldLast history), and preallocated workspaces so steady-state
-/// evaluation performs no per-layer allocation. Not thread-safe; one
+/// evaluation, straggler cuts included, makes no heap allocation
+/// (tests/test_alloc.cpp). Not thread-safe; one
 /// simulator per worker (serve::ReplicaPool replicates at this boundary).
 class NetworkSimulator {
  public:
@@ -138,16 +139,16 @@ class NetworkSimulator {
   void shape_lane_latencies();
 
   /// Shared wait set for every receiver hearing sent_/arrival_, per lane:
-  /// keeps the `wait_count` earliest senders, substitutes the stragglers
-  /// per `policy` (hold-last reads `history_row` when non-null), and charges
-  /// `receivers` reset messages per straggler. Writes each lane's barrier
-  /// time (arrival of the last sender waited for) and returns the values
-  /// the receivers actually read.
+  /// keeps the `wait_count` earliest senders, overwrites the stragglers in
+  /// sent_ per `policy` (hold-last reads `history_row` when non-null), and
+  /// charges `receivers` reset messages per straggler. Writes each lane's
+  /// barrier time (arrival of the last sender waited for); sent_ then holds
+  /// the values the receivers actually read. Allocates nothing.
   template <std::size_t Lanes>
-  const std::vector<double>* cut_stragglers(
-      std::size_t wait_count, std::size_t receivers,
-      const std::vector<double>* history_row, ResetPolicy policy,
-      std::span<SimResult> results, double* barriers);
+  void cut_stragglers(std::size_t wait_count, std::size_t receivers,
+                      const std::vector<double>* history_row,
+                      ResetPolicy policy, std::span<SimResult> results,
+                      double* barriers);
 
   const nn::FeedForwardNetwork& net_;
   SimConfig config_;
@@ -165,10 +166,9 @@ class NetworkSimulator {
   std::vector<std::vector<double>> history_next_;
   std::vector<double> sent_;      ///< values the previous round transmitted
   std::vector<double> arrival_;   ///< when each of those values arrived
-  std::vector<double> incoming_;  ///< sent_ with stragglers substituted
   std::vector<double> value_;     ///< y^(l) under construction
   std::vector<double> fire_;      ///< fire times under construction
-  std::vector<std::size_t> order_;  ///< senders sorted by arrival
+  std::vector<std::size_t> order_;  ///< senders, the wait set first
   std::vector<double> lane_input_;        ///< evaluate_lanes' input block
   std::vector<SimResult> lane_results_;   ///< evaluate_lanes' kLanes results
 };

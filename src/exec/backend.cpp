@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "fault/injector.hpp"
 #include "util/contract.hpp"
@@ -14,15 +15,22 @@ void nominal_outputs(const nn::FeedForwardNetwork& net,
   fault::Injector(net).nominal(probes, outputs);
 }
 
-void finish_trial(const nn::FeedForwardNetwork& net, const Trial& trial,
-                  TrialResult& result) {
+Trial make_trial(const nn::FeedForwardNetwork& net, fault::FaultPlan plan,
+                 std::vector<std::vector<double>> probes) {
+  Trial trial{std::move(plan), std::move(probes), {}};
+  trial.nominal.resize(trial.probes.size());
+  nominal_outputs(net, trial.probes, trial.nominal);
+  return trial;
+}
+
+void finish_trial(const Trial& trial, TrialResult& result) {
+  WNF_EXPECTS(trial.nominal.size() == trial.probes.size());
   WNF_ASSERT(result.probes.size() == trial.probes.size());
-  std::vector<double> clean(trial.probes.size());
-  nominal_outputs(net, trial.probes, clean);
   result.worst_error = 0.0;
   for (std::size_t i = 0; i < trial.probes.size(); ++i) {
-    result.worst_error = std::max(result.worst_error,
-                                  std::fabs(clean[i] - result.probes[i].output));
+    result.worst_error =
+        std::max(result.worst_error,
+                 std::fabs(trial.nominal[i] - result.probes[i].output));
   }
 }
 
@@ -51,6 +59,20 @@ double EvalBackend::worst_output_error(
   return worst;
 }
 
+void EvalBackend::crash_errors(const fault::FaultPlan& base, std::size_t layer,
+                               std::span<const std::size_t> candidates,
+                               std::span<const std::vector<double>> probes,
+                               std::span<const double> nominal,
+                               std::span<double> errors) {
+  WNF_EXPECTS(errors.size() == candidates.size());
+  fault::FaultPlan plan = base;
+  plan.neurons.push_back({layer, 0, fault::NeuronFaultKind::kCrash, 0.0});
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    plan.neurons.back().neuron = candidates[k];
+    errors[k] = worst_output_error(plan, probes, nominal);
+  }
+}
+
 std::vector<TrialResult> EvalBackend::run_trials(
     std::span<const Trial> trials) {
   std::vector<TrialResult> results(trials.size());
@@ -61,7 +83,7 @@ std::vector<TrialResult> EvalBackend::run_trials(
     for (const auto& x : trial.probes) {
       results[t].probes.push_back(evaluate({x.data(), x.size()}));
     }
-    finish_trial(network(), trial, results[t]);
+    finish_trial(trial, results[t]);
   }
   clear();
   return results;

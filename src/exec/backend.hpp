@@ -26,10 +26,14 @@ struct ProbeResult {
 };
 
 /// One campaign trial: a fault configuration plus the probe inputs to
-/// evaluate under it. An empty plan is a fault-free trial.
+/// evaluate under it, and their fault-free outputs. An empty plan is a
+/// fault-free trial.
 struct Trial {
   fault::FaultPlan plan;
   std::vector<std::vector<double>> probes;
+  /// nominal_outputs of `probes`, filled by whoever builds the trial
+  /// (make_trial), so no backend re-runs the fault-free forward to score it.
+  std::vector<double> nominal;
 };
 
 /// Outcome of one trial: the damaged evaluation of every probe, plus the
@@ -75,9 +79,10 @@ class EvalBackend {
 
   /// Damaged outputs of every probe under `plan` into `outputs` (same
   /// size): installs the plan, evaluates the probes in order, and clears —
-  /// the scoring primitive adversary searches call once per candidate. The
-  /// base drives install/evaluate; the Injector and simulator override it
-  /// with across-probe blocks that return the same bits.
+  /// the scoring primitive the exhaustive adversary search calls once per
+  /// candidate subset. The base drives install/evaluate; the Injector and
+  /// simulator override it with across-probe blocks that return the same
+  /// bits.
   virtual void damaged_outputs(const fault::FaultPlan& plan,
                                std::span<const std::vector<double>> probes,
                                std::span<double> outputs);
@@ -88,14 +93,27 @@ class EvalBackend {
                             std::span<const std::vector<double>> probes,
                             std::span<const double> nominal);
 
-  /// Runs every trial: installs its plan, evaluates its probes, computes the
-  /// worst error. The base implementation drives install/evaluate
-  /// sequentially; overrides parallelize, and must be deterministic in trial
-  /// order whatever the worker count or scheduling. Overrides may organize
-  /// their latency randomness differently from the serial evaluate path
-  /// (e.g. per-trial child streams instead of a per-probe split stream), so
-  /// the two paths are only guaranteed to coincide where results are
-  /// latency-independent — no straggler cut, or outputs compared only.
+  /// errors[k] = worst_output_error(base + a crash of neuron candidates[k]
+  /// of `layer`, appended last) — the greedy adversary's scoring primitive,
+  /// called once per search step. No candidate may already be faulted in
+  /// `base`. The base implementation is that loop; the Injector overrides
+  /// it by running layers 1..layer under `base` once per probe block and
+  /// resuming each candidate from that prefix, with the same bits.
+  virtual void crash_errors(const fault::FaultPlan& base, std::size_t layer,
+                            std::span<const std::size_t> candidates,
+                            std::span<const std::vector<double>> probes,
+                            std::span<const double> nominal,
+                            std::span<double> errors);
+
+  /// Runs every trial: installs its plan, evaluates its probes, and scores
+  /// them against the trial's `nominal` (finish_trial). The base
+  /// implementation drives install/evaluate sequentially; overrides
+  /// parallelize, and must be deterministic in trial order whatever the
+  /// worker count or scheduling. Overrides may organize their latency
+  /// randomness differently from the serial evaluate path (e.g. per-trial
+  /// child streams instead of a per-probe split stream), so the two paths
+  /// are only guaranteed to coincide where results are latency-independent
+  /// — no straggler cut, or outputs compared only.
   virtual std::vector<TrialResult> run_trials(std::span<const Trial> trials);
 };
 
@@ -105,9 +123,12 @@ void nominal_outputs(const nn::FeedForwardNetwork& net,
                      std::span<const std::vector<double>> probes,
                      std::span<double> outputs);
 
+/// A trial of `plan` over `probes`, with `nominal` filled (nominal_outputs).
+Trial make_trial(const nn::FeedForwardNetwork& net, fault::FaultPlan plan,
+                 std::vector<std::vector<double>> probes);
+
 /// Shared summarisation: fills `result.worst_error` from `result.probes`
-/// against the fault-free outputs of `trial.probes`.
-void finish_trial(const nn::FeedForwardNetwork& net, const Trial& trial,
-                  TrialResult& result);
+/// against `trial.nominal`, which must hold one output per probe.
+void finish_trial(const Trial& trial, TrialResult& result);
 
 }  // namespace wnf::exec

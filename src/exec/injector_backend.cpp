@@ -1,5 +1,6 @@
 #include "exec/injector_backend.hpp"
 
+#include "util/contract.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wnf::exec {
@@ -26,6 +27,26 @@ void InjectorBackend::damaged_outputs(
   injector_.damaged(plan, probes, outputs);
 }
 
+void InjectorBackend::crash_errors(const fault::FaultPlan& base,
+                                   std::size_t layer,
+                                   std::span<const std::size_t> candidates,
+                                   std::span<const std::vector<double>> probes,
+                                   std::span<const double> nominal,
+                                   std::span<double> errors) {
+  // What validate_plan would check on each base-plus-candidate plan.
+  fault::validate_plan(base, net_);
+  WNF_EXPECTS(!probes.empty());
+  WNF_EXPECTS(layer >= 1 && layer <= net_.layer_count());
+  for (const std::size_t candidate : candidates) {
+    WNF_EXPECTS(candidate < net_.layer_width(layer));
+    for (const auto& fault : base.neurons) {
+      WNF_EXPECTS((fault.layer != layer || fault.neuron != candidate) &&
+                  "duplicate neuron fault");
+    }
+  }
+  injector_.crash_errors(base, layer, candidates, probes, nominal, errors);
+}
+
 std::vector<TrialResult> InjectorBackend::run_trials(
     std::span<const Trial> trials) {
   // Validated up front, on the caller's thread: the lane path indexes lane
@@ -39,7 +60,7 @@ std::vector<TrialResult> InjectorBackend::run_trials(
     injector.damaged(trial.plan, trial.probes, damaged);
     results[t].probes.reserve(damaged.size());
     for (double output : damaged) results[t].probes.push_back({output, 0.0, 0});
-    finish_trial(net_, trial, results[t]);
+    finish_trial(trial, results[t]);
   });
   return results;
 }

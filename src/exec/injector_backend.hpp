@@ -12,7 +12,9 @@ namespace wnf::exec {
 /// Wraps one fault::Injector. run_trials parallelises over the thread pool
 /// with one Injector per in-flight trial and evaluates each trial's probes
 /// in across-probe blocks, reproducing bit-for-bit what the pre-backend
-/// fault::run_campaign computed. Every plan is validated before it runs.
+/// fault::run_campaign computed. crash_errors resumes every greedy
+/// candidate from one cached layer prefix (Injector::crash_errors). Every
+/// plan is validated before it runs.
 class InjectorBackend final : public EvalBackend {
  public:
   explicit InjectorBackend(const nn::FeedForwardNetwork& net);
@@ -25,6 +27,11 @@ class InjectorBackend final : public EvalBackend {
   void damaged_outputs(const fault::FaultPlan& plan,
                        std::span<const std::vector<double>> probes,
                        std::span<double> outputs) override;
+  void crash_errors(const fault::FaultPlan& base, std::size_t layer,
+                    std::span<const std::size_t> candidates,
+                    std::span<const std::vector<double>> probes,
+                    std::span<const double> nominal,
+                    std::span<double> errors) override;
   std::vector<TrialResult> run_trials(std::span<const Trial> trials) override;
 
  private:

@@ -118,7 +118,7 @@ class ServedBackend : public EvalBackend {
                                      served[at].completion_time,
                                      served[at].resets_sent});
       }
-      finish_trial(net_, trial, results[t]);
+      finish_trial(trial, results[t]);
     }
     return results;
   }

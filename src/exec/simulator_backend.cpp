@@ -119,7 +119,7 @@ std::vector<TrialResult> SimulatorBackend::run_trials(
     run_probes(
         sim, trial.probes, [&](std::size_t) -> Rng& { return rng; },
         results[t].probes);
-    finish_trial(net_, trial, results[t]);
+    finish_trial(trial, results[t]);
   });
   return results;
 }

@@ -249,22 +249,26 @@ FaultPlan greedy_worst_crash_plan(
   std::vector<double> nominal(probes.size());
   exec::nominal_outputs(net, probes, nominal);
   FaultPlan plan;
+  std::vector<std::size_t> candidates;
+  std::vector<double> errors;
   for (std::size_t l = 1; l <= net.layer_count(); ++l) {
     const std::size_t width = net.layer_width(l);
     WNF_EXPECTS(counts[l - 1] <= width);
     std::vector<bool> killed(width, false);
     for (std::size_t step = 0; step < counts[l - 1]; ++step) {
+      candidates.clear();
+      for (std::size_t candidate = 0; candidate < width; ++candidate) {
+        if (!killed[candidate]) candidates.push_back(candidate);
+      }
+      errors.resize(candidates.size());
+      backend.crash_errors(plan, l, candidates, probes, nominal, errors);
+      // Strict > in candidate order: the first of equal errors wins.
       double best_error = -1.0;
       std::size_t best_victim = width;
-      for (std::size_t candidate = 0; candidate < width; ++candidate) {
-        if (killed[candidate]) continue;
-        plan.neurons.push_back(
-            {l, candidate, NeuronFaultKind::kCrash, 0.0});
-        const double error = backend.worst_output_error(plan, probes, nominal);
-        plan.neurons.pop_back();
-        if (error > best_error) {
-          best_error = error;
-          best_victim = candidate;
+      for (std::size_t k = 0; k < candidates.size(); ++k) {
+        if (errors[k] > best_error) {
+          best_error = errors[k];
+          best_victim = candidates[k];
         }
       }
       WNF_ASSERT(best_victim < width);

@@ -79,9 +79,11 @@ FaultPlan exhaustive_worst_crash_plan(
 
 /// Greedy worst-case crash search: kills, one at a time, the neuron whose
 /// crash currently increases the worst-case error most (over the probes,
-/// scored on `backend`). Cost O(total_faults * N * probes) instead of
-/// combinatorial. Both searches compute the probes' fault-free outputs once
-/// and score each candidate with EvalBackend::damaged_outputs.
+/// scored on `backend`; ties go to the lowest index). Cost
+/// O(total_faults * N * probes) forwards instead of combinatorial. Both
+/// searches compute the probes' fault-free outputs once; the exhaustive one
+/// scores each subset with EvalBackend::worst_output_error, the greedy one
+/// each step's candidates with one EvalBackend::crash_errors call.
 FaultPlan greedy_worst_crash_plan(const nn::FeedForwardNetwork& net,
                                   std::span<const std::size_t> counts,
                                   std::span<const std::vector<double>> probes,

@@ -89,11 +89,12 @@ std::vector<exec::Trial> make_campaign_trials(
   const std::vector<std::size_t> counts_copy(counts.begin(), counts.end());
   std::vector<exec::Trial> trials(config.trials);
   // Plan construction can be expensive (greedy search evaluates candidate
-  // victims over the probes), so it parallelises like the trials themselves.
+  // victims over the probes), so it parallelises like the trials themselves,
+  // and so does the fault-free forward every backend scores against.
   parallel_for(0, config.trials, [&](std::size_t t) {
     Rng rng = trial_rngs[t];
-    trials[t].probes =
-        random_probes(config.probes_per_trial, net.input_dim(), rng);
+    trials[t] = exec::make_trial(
+        net, {}, random_probes(config.probes_per_trial, net.input_dim(), rng));
     trials[t].plan = make_attack_plan(
         net, config, counts_copy,
         {trials[t].probes.data(), trials[t].probes.size()}, rng);
@@ -172,13 +173,15 @@ TimelineCampaignResult run_timeline_campaign(
   }
 
   std::vector<exec::Trial> trials(config.trials);
-  TimelineCampaignResult result;
-  for (std::size_t t = 0; t < config.trials; ++t) {
+  parallel_for(0, config.trials, [&](std::size_t t) {
     Rng rng = trial_rngs[t];
-    trials[t].probes =
-        random_probes(config.probes_per_trial, net.input_dim(), rng);
-    trials[t].plan = finalized.active_at(t);
-    if (!trials[t].plan.empty()) ++result.faulty_trials;
+    trials[t] = exec::make_trial(
+        net, finalized.active_at(t),
+        random_probes(config.probes_per_trial, net.input_dim(), rng));
+  });
+  TimelineCampaignResult result;
+  for (const exec::Trial& trial : trials) {
+    if (!trial.plan.empty()) ++result.faulty_trials;
   }
 
   const auto trial_results = backend.run_trials(trials);

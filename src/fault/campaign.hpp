@@ -54,8 +54,9 @@ struct CampaignResult {
 
 /// Builds the campaign's trial stream: trial t's RNG is the t-th split of
 /// `config.seed`, its probes are drawn first and its plan second (so any
-/// backend replays the exact trials the pre-backend campaign ran). Plan
-/// construction is backend-independent — adversaries search offline.
+/// backend replays the exact trials the pre-backend campaign ran), and each
+/// trial carries its probes' nominal outputs. Plan construction is
+/// backend-independent — adversaries search offline.
 std::vector<exec::Trial> make_campaign_trials(
     const nn::FeedForwardNetwork& net, std::span<const std::size_t> counts,
     const CampaignConfig& config);

@@ -107,6 +107,9 @@ TEST(ExecBackend, ParallelRunTrialsMatchesSequentialDefault) {
         {2, t, fault::NeuronFaultKind::kByzantine, 0.5}};
   }
   trials[1].plan = fault::FaultPlan{};  // a fault-free trial mid-stream
+  for (Trial& trial : trials) {
+    trial = make_trial(net, trial.plan, trial.probes);
+  }
 
   InjectorBackend injector_backend(net);
   SimulatorBackend simulator_backend(net);
@@ -129,6 +132,18 @@ TEST(ExecBackend, ParallelRunTrialsMatchesSequentialDefault) {
       }
     }
   }
+}
+
+TEST(ExecBackendDeathTest, FinishTrialRequiresOneNominalPerProbe) {
+  const auto net = exec_net(7);
+  Trial trial = make_trial(net, {}, {{0.1, 0.2}, {0.3, 0.4}});
+  TrialResult result;
+  result.probes.resize(trial.probes.size());
+  finish_trial(trial, result);  // one nominal per probe: fine
+  trial.nominal.pop_back();
+  EXPECT_DEATH(finish_trial(trial, result), "precondition");
+  trial.nominal.clear();
+  EXPECT_DEATH(finish_trial(trial, result), "precondition");
 }
 
 TEST(Campaign, EveryAttackRunsOnEveryBackend) {

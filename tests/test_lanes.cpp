@@ -298,9 +298,11 @@ std::vector<exec::Trial> trials_for(const nn::FeedForwardNetwork& net,
                                     std::size_t n, Rng& rng) {
   std::vector<exec::Trial> trials;
   for (const auto& plan : plans_for(net)) {
-    trials.push_back({plan, random_probes(n, net.input_dim(), rng)});
+    trials.push_back(
+        exec::make_trial(net, plan, random_probes(n, net.input_dim(), rng)));
   }
-  trials.push_back({fault::FaultPlan{}, random_probes(n, net.input_dim(), rng)});
+  trials.push_back(exec::make_trial(net, fault::FaultPlan{},
+                                    random_probes(n, net.input_dim(), rng)));
   return trials;
 }
 
@@ -449,6 +451,61 @@ TEST(LanePath, HoldLastTrialsRunProbeByProbe) {
 
 // ---------------------------------------------------- adversary pins
 
+TEST(LanePath, InjectorCrashErrorsEqualReferenceScorer) {
+  // The cached-prefix scorer against the base class's loop over
+  // worst_output_error, bit for bit: probe counts for a 1-lane tail, a tail
+  // just under a block, a padded block, a full block, and a block plus tail;
+  // bases with no fault, with crash and stuck-at faults in the candidates'
+  // layer and above, and with perturbation-convention Byzantine neurons
+  // (the lockstep pass), on a dense and a sparse net.
+  using fault::NeuronFaultKind;
+  for (const auto& net : {dense_net(), capped_sparse_net()}) {
+    std::vector<fault::FaultPlan> bases(3);
+    bases[1].neurons = {{1, 2, NeuronFaultKind::kCrash, 0.0},
+                        {1, 7, NeuronFaultKind::kStuckAt, 1.0},
+                        {2, 3, NeuronFaultKind::kStuckAt, 0.0},
+                        {2, 4, NeuronFaultKind::kCrash, 0.0}};
+    bases[1].synapses = plans_for(net)[4].synapses;
+    bases[2] = plans_for(net)[2];  // Byzantine perturbations at (1,5), (2,0)
+    bases[2].neurons.push_back({2, 6, NeuronFaultKind::kCrash, 0.0});
+    ASSERT_EQ(bases[2].convention,
+              theory::CapacityConvention::kPerturbationBound);
+    Rng rng(71);
+    for (std::size_t n : {1, 15, 16, 32, 40}) {
+      const auto probes = random_probes(n, net.input_dim(), rng);
+      std::vector<double> nominal(n);
+      exec::nominal_outputs(net, probes, nominal);
+      for (std::size_t b = 0; b < bases.size(); ++b) {
+        for (std::size_t layer = 1; layer <= net.layer_count(); ++layer) {
+          std::vector<std::size_t> candidates;
+          for (std::size_t i = 0; i < net.layer_width(layer); ++i) {
+            bool faulted = false;
+            for (const auto& f : bases[b].neurons) {
+              faulted = faulted || (f.layer == layer && f.neuron == i);
+            }
+            if (!faulted) candidates.push_back(i);
+          }
+          exec::InjectorBackend injector(net);
+          std::vector<double> got(candidates.size(), -1.0);
+          std::vector<double> want(candidates.size(), -1.0);
+          injector.crash_errors(bases[b], layer, candidates, probes, nominal,
+                                got);
+          injector.EvalBackend::crash_errors(bases[b], layer, candidates,
+                                             probes, nominal, want);
+          double largest = 0.0;
+          for (std::size_t k = 0; k < candidates.size(); ++k) {
+            ASSERT_EQ(bits(got[k]), bits(want[k]))
+                << "n " << n << " base " << b << " layer " << layer
+                << " candidate " << candidates[k];
+            largest = std::max(largest, got[k]);
+          }
+          EXPECT_GT(largest, 0.0) << "n " << n << " base " << b;
+        }
+      }
+    }
+  }
+}
+
 TEST(LanePath, AdversaryVictimsPinnedOnFixedSeed) {
   // 40 probes: one full block plus a 1-lane tail. The victims and worst
   // errors were recorded from the probe-by-probe scorer and must not move.
@@ -518,7 +575,7 @@ TEST(LanePathDeathTest, NonFiniteAndOutOfRangePlansAbortOnBothBackends) {
   bad.push_back(synapse_range);
 
   for (const auto& plan : bad) {
-    const std::vector<exec::Trial> trials{{plan, probes}};
+    const std::vector<exec::Trial> trials{exec::make_trial(net, plan, probes)};
     EXPECT_DEATH(fault::validate_plan(plan, net), "precondition");
     EXPECT_DEATH(exec::InjectorBackend(net).run_trials(trials), "precondition");
     EXPECT_DEATH(exec::SimulatorBackend(net).run_trials(trials),
@@ -530,6 +587,27 @@ TEST(LanePathDeathTest, NonFiniteAndOutOfRangePlansAbortOnBothBackends) {
         exec::SimulatorBackend(net).damaged_outputs(plan, probes, out),
         "precondition");
   }
+}
+
+TEST(LanePathDeathTest, CrashCandidateAlreadyFaultedInBaseAborts) {
+  // The reference scorer's plan would hold two faults on one neuron, which
+  // validate_plan rejects; the cached-prefix scorer rejects it too.
+  const auto net = dense_net();
+  Rng rng(47);
+  const auto probes = random_probes(32, net.input_dim(), rng);
+  std::vector<double> nominal(probes.size());
+  exec::nominal_outputs(net, probes, nominal);
+  fault::FaultPlan base;
+  base.neurons = {{1, 4, fault::NeuronFaultKind::kStuckAt, 1.0}};
+  const std::vector<std::size_t> candidates{3, 4};
+  std::vector<double> errors(candidates.size());
+  exec::InjectorBackend injector(net);
+  EXPECT_DEATH(injector.crash_errors(base, 1, candidates, probes, nominal,
+                                     errors),
+               "precondition");
+  EXPECT_DEATH(injector.EvalBackend::crash_errors(base, 1, candidates, probes,
+                                                  nominal, errors),
+               "precondition");
 }
 
 }  // namespace
