@@ -32,6 +32,11 @@ struct LatencyModel {
   /// One latency draw. Deterministic under `rng`'s stream.
   double sample(Rng& rng) const;
 
+  /// Whether a draw reads `rng`. A model that does not (kConstant) returns
+  /// the same value from every draw, so one draw serves every neuron of
+  /// every probe and skipping the rest changes no result and no stream.
+  bool draws() const { return kind != LatencyKind::kConstant; }
+
   /// One draw per neuron for layers of the given widths (the shape the
   /// simulator's set_latencies expects when `widths` = layer_widths()).
   std::vector<std::vector<double>> sample_layers(

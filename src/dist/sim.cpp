@@ -61,13 +61,21 @@ void NetworkSimulator::sample_lane_latencies(std::size_t lane,
                                              const LatencyModel& model,
                                              Rng& rng) {
   WNF_EXPECTS(lane < kLanes);
-  model.sample_layers_into(widths_, rng, latencies_);
   shape_lane_latencies();
+  // sample_layers_into's order: layer by layer, neuron by neuron.
   for (std::size_t l = 0; l < widths_.size(); ++l) {
     for (std::size_t j = 0; j < widths_[l]; ++j) {
-      lane_latencies_[l][j * kLanes + lane] = latencies_[l][j];
+      lane_latencies_[l][j * kLanes + lane] = model.sample(rng);
     }
   }
+}
+
+void NetworkSimulator::fill_lane_latencies(const LatencyModel& model) {
+  WNF_EXPECTS(!model.draws());
+  Rng unread(0);
+  const double latency = model.sample(unread);
+  shape_lane_latencies();
+  for (auto& row : lane_latencies_) std::fill(row.begin(), row.end(), latency);
 }
 
 void NetworkSimulator::evaluate_lanes(
@@ -126,11 +134,15 @@ void NetworkSimulator::cut_stragglers(
   const std::size_t wait = std::min(wait_count, fan_in);
   std::fill(barriers, barriers + Lanes, 0.0);
   if (wait >= fan_in) {
+    // Accumulated in a local row, so the lane loop keeps it in registers.
+    double latest[Lanes] = {};
     for (std::size_t i = 0; i < fan_in; ++i) {
+      const double* row = arrival_.data() + i * Lanes;
       for (std::size_t b = 0; b < Lanes; ++b) {
-        barriers[b] = std::max(barriers[b], arrival_[i * Lanes + b]);
+        latest[b] = std::max(latest[b], row[b]);
       }
     }
+    std::copy(latest, latest + Lanes, barriers);
     return;
   }
   // Every receiver hears the same senders at the same times, so they share
@@ -204,9 +216,9 @@ void NetworkSimulator::run(std::span<const double> x,
         Lanes == 1 ? latencies_[l - 1] : lane_latencies_[l - 1];
     fire_.resize(width * Lanes);
     for (std::size_t j = 0; j < width; ++j) {
-      for (std::size_t b = 0; b < Lanes; ++b) {
-        fire_[j * Lanes + b] = barriers[b] + latency[j * Lanes + b];
-      }
+      const double* delay = latency.data() + j * Lanes;
+      double* fire = fire_.data() + j * Lanes;
+      for (std::size_t b = 0; b < Lanes; ++b) fire[b] = barriers[b] + delay[b];
     }
     for (const auto& fault : plan_.neurons) {
       if (fault.layer != l || fault.kind == fault::NeuronFaultKind::kStuckAt) {

@@ -100,10 +100,17 @@ class NetworkSimulator {
 
   /// Draws lane `lane`'s per-neuron latencies (lane < kLanes) for the next
   /// evaluate_lanes() from `model` -- the same draws, in the same order, as
-  /// sample_latencies(). A lane keeps its draw until redrawn; a lane never
-  /// drawn runs at zero latency.
+  /// sample_latencies() -- straight into the lane's row, leaving the serial
+  /// path's latencies (set_latencies, sample_latencies) as they were. A
+  /// lane keeps its draw until redrawn; a lane never drawn runs at zero
+  /// latency.
   void sample_lane_latencies(std::size_t lane, const LatencyModel& model,
                              Rng& rng);
+
+  /// Sets every lane's latencies to the one value of a model that does not
+  /// draw (!model.draws()): what sample_lane_latencies would write for each
+  /// lane, done once for any number of blocks.
+  void fill_lane_latencies(const LatencyModel& model);
 
   /// Across-probe block (tensor/ops.hpp): lane b evaluates probes[b] under
   /// lane b's latencies, 1 <= probes.size() <= kLanes, with the Corollary-2

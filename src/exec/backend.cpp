@@ -17,9 +17,15 @@ void nominal_outputs(const nn::FeedForwardNetwork& net,
 
 Trial make_trial(const nn::FeedForwardNetwork& net, fault::FaultPlan plan,
                  std::vector<std::vector<double>> probes) {
+  fault::Injector injector(net);
+  return make_trial(injector, std::move(plan), std::move(probes));
+}
+
+Trial make_trial(fault::Injector& injector, fault::FaultPlan plan,
+                 std::vector<std::vector<double>> probes) {
   Trial trial{std::move(plan), std::move(probes), {}};
   trial.nominal.resize(trial.probes.size());
-  nominal_outputs(net, trial.probes, trial.nominal);
+  injector.nominal(trial.probes, trial.nominal);
   return trial;
 }
 

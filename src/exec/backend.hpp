@@ -15,6 +15,10 @@
 #include "fault/plan.hpp"
 #include "nn/network.hpp"
 
+namespace wnf::fault {
+class Injector;
+}  // namespace wnf::fault
+
 namespace wnf::exec {
 
 /// One probe evaluation under the installed plan. Backends without a
@@ -125,6 +129,11 @@ void nominal_outputs(const nn::FeedForwardNetwork& net,
 
 /// A trial of `plan` over `probes`, with `nominal` filled (nominal_outputs).
 Trial make_trial(const nn::FeedForwardNetwork& net, fault::FaultPlan plan,
+                 std::vector<std::vector<double>> probes);
+
+/// make_trial on the caller's `injector` (bound to the trial's network), so
+/// a worker filling many trials builds one Injector, not one per trial.
+Trial make_trial(fault::Injector& injector, fault::FaultPlan plan,
                  std::vector<std::vector<double>> probes);
 
 /// Shared summarisation: fills `result.worst_error` from `result.probes`

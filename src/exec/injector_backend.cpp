@@ -53,14 +53,21 @@ std::vector<TrialResult> InjectorBackend::run_trials(
   // buffers by the plan's neuron and synapse indices.
   for (const Trial& trial : trials) fault::validate_plan(trial.plan, net_);
   std::vector<TrialResult> results(trials.size());
-  parallel_for(0, trials.size(), [&](std::size_t t) {
-    const Trial& trial = trials[t];
-    fault::Injector injector(net_);  // Injectors are not thread-safe
-    std::vector<double> damaged(trial.probes.size());
-    injector.damaged(trial.plan, trial.probes, damaged);
-    results[t].probes.reserve(damaged.size());
-    for (double output : damaged) results[t].probes.push_back({output, 0.0, 0});
-    finish_trial(trial, results[t]);
+  parallel_for_chunks(0, trials.size(), [&](std::size_t lo, std::size_t hi) {
+    // Injectors are not thread-safe: one per chunk, reused across its
+    // trials (every forward starts from its plan and inputs alone).
+    fault::Injector injector(net_);
+    std::vector<double> damaged;
+    for (std::size_t t = lo; t < hi; ++t) {
+      const Trial& trial = trials[t];
+      damaged.resize(trial.probes.size());
+      injector.damaged(trial.plan, trial.probes, damaged);
+      results[t].probes.reserve(damaged.size());
+      for (double output : damaged) {
+        results[t].probes.push_back({output, 0.0, 0});
+      }
+      finish_trial(trial, results[t]);
+    }
   });
   return results;
 }

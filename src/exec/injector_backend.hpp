@@ -10,7 +10,8 @@
 namespace wnf::exec {
 
 /// Wraps one fault::Injector. run_trials parallelises over the thread pool
-/// with one Injector per in-flight trial and evaluates each trial's probes
+/// with one Injector per parallel_for_chunks chunk, reused for the chunk's
+/// trials, and evaluates each trial's probes
 /// in across-probe blocks, reproducing bit-for-bit what the pre-backend
 /// fault::run_campaign computed. crash_errors resumes every greedy
 /// candidate from one cached layer prefix (Injector::crash_errors). Every

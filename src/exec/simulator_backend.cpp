@@ -11,7 +11,7 @@ SimulatorBackend::SimulatorBackend(const nn::FeedForwardNetwork& net,
                                    SimulatorBackendOptions options)
     : net_(net),
       options_(std::move(options)),
-      sim_(net, options_.sim),
+      sim_(make_simulator()),
       latency_root_(options_.latency_seed) {
   if (!options_.straggler_cut.empty()) {
     WNF_EXPECTS(options_.straggler_cut.size() == net_.layer_count());
@@ -19,12 +19,32 @@ SimulatorBackend::SimulatorBackend(const nn::FeedForwardNetwork& net,
   }
 }
 
-void SimulatorBackend::install(const fault::FaultPlan& plan) {
-  if (plan.empty()) {
-    sim_.clear_faults();
-  } else {
-    sim_.apply_faults(plan);
+dist::NetworkSimulator SimulatorBackend::make_simulator() const {
+  dist::NetworkSimulator sim(net_, options_.sim);
+  // A model that draws nothing gives every lane of every block the same
+  // latencies, so they are written here once instead of per block.
+  if (!options_.latency.draws() &&
+      options_.policy != dist::ResetPolicy::kHoldLast) {
+    sim.fill_lane_latencies(options_.latency);
   }
+  return sim;
+}
+
+namespace {
+
+/// Installs `plan` on `sim`; an empty plan clears the installed one.
+void install_plan(dist::NetworkSimulator& sim, const fault::FaultPlan& plan) {
+  if (plan.empty()) {
+    sim.clear_faults();
+  } else {
+    sim.apply_faults(plan);
+  }
+}
+
+}  // namespace
+
+void SimulatorBackend::install(const fault::FaultPlan& plan) {
+  install_plan(sim_, plan);
 }
 
 void SimulatorBackend::clear() { sim_.clear_faults(); }
@@ -54,13 +74,14 @@ void SimulatorBackend::run_probes(dist::NetworkSimulator& sim,
     for (std::size_t i = 0; i < probes.size(); ++i) single(i);
     return;
   }
+  const bool draws = options_.latency.draws();
   std::vector<dist::SimResult> block(kLanes);
   for_each_lane_block(
       probes.size(),
       [&](std::size_t begin, std::size_t count) {
         for (std::size_t b = 0; b < count; ++b) {
-          sim.sample_lane_latencies(b, options_.latency,
-                                    latency_rng(begin + b));
+          Rng& rng = latency_rng(begin + b);  // splits even when unread
+          if (draws) sim.sample_lane_latencies(b, options_.latency, rng);
         }
         sim.evaluate_lanes(probes.subspan(begin, count), wait_counts_,
                            std::span(block).first(count));
@@ -110,16 +131,23 @@ std::vector<TrialResult> SimulatorBackend::run_trials(
   }
 
   std::vector<TrialResult> results(trials.size());
-  parallel_for(0, trials.size(), [&](std::size_t t) {
-    const Trial& trial = trials[t];
-    dist::NetworkSimulator sim(net_, options_.sim);  // one per worker trial
-    if (!trial.plan.empty()) sim.apply_faults(trial.plan);
-    Rng rng = trial_rngs[t];
-    results[t].probes.resize(trial.probes.size());
-    run_probes(
-        sim, trial.probes, [&](std::size_t) -> Rng& { return rng; },
-        results[t].probes);
-    finish_trial(trial, results[t]);
+  parallel_for_chunks(0, trials.size(), [&](std::size_t lo, std::size_t hi) {
+    // One simulator per chunk. Each trial installs its own plan and starts
+    // with no hold-last history, and every lane a block reads is redrawn
+    // (or was filled once), so a reused simulator returns what a fresh one
+    // would.
+    dist::NetworkSimulator sim = make_simulator();
+    for (std::size_t t = lo; t < hi; ++t) {
+      const Trial& trial = trials[t];
+      install_plan(sim, trial.plan);
+      sim.reset_history();
+      Rng rng = trial_rngs[t];
+      results[t].probes.resize(trial.probes.size());
+      run_probes(
+          sim, trial.probes, [&](std::size_t) -> Rng& { return rng; },
+          results[t].probes);
+      finish_trial(trial, results[t]);
+    }
   });
   return results;
 }

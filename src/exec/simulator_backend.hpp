@@ -32,7 +32,12 @@ struct SimulatorBackendOptions {
 /// blocks (NetworkSimulator::evaluate_lanes), drawing each lane's latencies
 /// in probe order, so they return what probe-by-probe evaluation would;
 /// under the kHoldLast policy each probe reads the previous probe's
-/// history, so those run probe by probe.
+/// history, so those run probe by probe. A latency model that draws
+/// nothing (LatencyModel::draws) fills the lanes once per simulator, and
+/// the per-probe streams are still split, so no stream moves. run_trials
+/// builds one simulator per parallel_for_chunks chunk and reuses it for
+/// the chunk's trials, installing each trial's plan and clearing the
+/// hold-last history first.
 class SimulatorBackend final : public EvalBackend {
  public:
   explicit SimulatorBackend(const nn::FeedForwardNetwork& net,
@@ -48,11 +53,13 @@ class SimulatorBackend final : public EvalBackend {
                        std::span<double> outputs) override;
   std::vector<TrialResult> run_trials(std::span<const Trial> trials) override;
 
-  /// The serial-path simulator (e.g. to pin latencies for a bench).
-  dist::NetworkSimulator& simulator() { return sim_; }
   const SimulatorBackendOptions& options() const { return options_; }
 
  private:
+  /// A simulator bound to the network, its lanes already filled when the
+  /// latency model draws nothing and blocks will run.
+  dist::NetworkSimulator make_simulator() const;
+
   ProbeResult run_probe(dist::NetworkSimulator& sim, Rng& latency_rng,
                         std::span<const double> x) const;
 

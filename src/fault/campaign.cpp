@@ -90,15 +90,20 @@ std::vector<exec::Trial> make_campaign_trials(
   std::vector<exec::Trial> trials(config.trials);
   // Plan construction can be expensive (greedy search evaluates candidate
   // victims over the probes), so it parallelises like the trials themselves,
-  // and so does the fault-free forward every backend scores against.
-  parallel_for(0, config.trials, [&](std::size_t t) {
-    Rng rng = trial_rngs[t];
-    trials[t] = exec::make_trial(
-        net, {}, random_probes(config.probes_per_trial, net.input_dim(), rng));
-    trials[t].plan = make_attack_plan(
-        net, config, counts_copy,
-        {trials[t].probes.data(), trials[t].probes.size()}, rng);
-    trials[t].plan.convention = config.convention;
+  // and so does the fault-free forward every backend scores against (one
+  // Injector per chunk).
+  parallel_for_chunks(0, config.trials, [&](std::size_t lo, std::size_t hi) {
+    Injector injector(net);
+    for (std::size_t t = lo; t < hi; ++t) {
+      Rng rng = trial_rngs[t];
+      trials[t] = exec::make_trial(
+          injector, {},
+          random_probes(config.probes_per_trial, net.input_dim(), rng));
+      trials[t].plan = make_attack_plan(
+          net, config, counts_copy,
+          {trials[t].probes.data(), trials[t].probes.size()}, rng);
+      trials[t].plan.convention = config.convention;
+    }
   });
   return trials;
 }
@@ -173,11 +178,14 @@ TimelineCampaignResult run_timeline_campaign(
   }
 
   std::vector<exec::Trial> trials(config.trials);
-  parallel_for(0, config.trials, [&](std::size_t t) {
-    Rng rng = trial_rngs[t];
-    trials[t] = exec::make_trial(
-        net, finalized.active_at(t),
-        random_probes(config.probes_per_trial, net.input_dim(), rng));
+  parallel_for_chunks(0, config.trials, [&](std::size_t lo, std::size_t hi) {
+    Injector injector(net);
+    for (std::size_t t = lo; t < hi; ++t) {
+      Rng rng = trial_rngs[t];
+      trials[t] = exec::make_trial(
+          injector, finalized.active_at(t),
+          random_probes(config.probes_per_trial, net.input_dim(), rng));
+    }
   });
   TimelineCampaignResult result;
   for (const exec::Trial& trial : trials) {

@@ -120,12 +120,16 @@ void output_step(const nn::FeedForwardNetwork& net, const FaultPlan& plan,
   const auto& w = net.output_weights();
   WNF_EXPECTS(in.size() == w.size() * Lanes);
   WNF_EXPECTS(out.size() == Lanes);
-  // dot(in_b, w) + bias, summed left to right exactly as `dot` does.
-  for (std::size_t b = 0; b < Lanes; ++b) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < w.size(); ++i) sum += in[i * Lanes + b] * w[i];
-    out[b] = sum + net.output_bias();
+  // dot(in_b, w) + bias, each lane summed from 0.0 left to right exactly
+  // as `dot` does; inputs outer and lanes inner, so a row of `in` is one
+  // contiguous lane vector.
+  double sum[Lanes] = {};
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const double* row = in.data() + i * Lanes;
+    const double weight = w[i];
+    for (std::size_t b = 0; b < Lanes; ++b) sum[b] += row[b] * weight;
   }
+  for (std::size_t b = 0; b < Lanes; ++b) out[b] = sum[b] + net.output_bias();
   const std::size_t top = net.layer_count() + 1;
   for (const auto& fault : plan.synapses) {
     if (fault.layer != top) continue;

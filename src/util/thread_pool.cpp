@@ -66,14 +66,15 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body) {
+void parallel_for_chunks(
+    ThreadPool& pool, std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& body) {
   WNF_EXPECTS(begin <= end);
   const std::size_t n = end - begin;
   if (n == 0) return;
   const std::size_t workers = pool.size();
   if (workers <= 1 || n < 2) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
+    body(begin, end);
     return;
   }
   const std::size_t chunks = std::min(n, workers * 4);
@@ -82,11 +83,23 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     const std::size_t lo = begin + c * chunk_size;
     if (lo >= end) break;
     const std::size_t hi = std::min(end, lo + chunk_size);
-    pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    });
+    pool.submit([lo, hi, &body] { body(lo, hi); });
   }
   pool.wait_idle();
+}
+
+void parallel_for_chunks(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  parallel_for_chunks(ThreadPool::global(), begin, end, body);
+}
+
+void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& body) {
+  parallel_for_chunks(pool, begin, end,
+                      [&body](std::size_t lo, std::size_t hi) {
+                        for (std::size_t i = lo; i < hi; ++i) body(i);
+                      });
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

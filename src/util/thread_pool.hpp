@@ -1,9 +1,11 @@
 // Fixed-size worker pool plus data-parallel helpers.
 //
 // The fault-injection campaigns and Monte-Carlo sweeps in this repository are
-// embarrassingly parallel over trials; `parallel_for` chunks an index range
-// over the pool. Results stay deterministic because randomness is derived
-// per-index (see Rng::split), never from thread identity.
+// embarrassingly parallel over trials; `parallel_for_chunks` splits an index
+// range into contiguous chunks over the pool (so a chunk can reuse one
+// evaluator), and `parallel_for` runs a body per index on top of it. Results
+// stay deterministic because randomness is derived per-index (see
+// Rng::split), never from thread identity.
 #pragma once
 
 #include <condition_variable>
@@ -55,11 +57,23 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Runs `body(i)` for every i in [begin, end), distributed over `pool`.
-///
-/// The range is split into contiguous chunks (at most 4 per worker) so
-/// per-iteration overhead stays negligible even for micro-bodies. Falls back
-/// to a serial loop when the range is tiny or the pool has one worker.
+/// Splits [begin, end) into contiguous chunks (at most 4 per worker) and
+/// runs `body(lo, hi)` once per chunk over `pool`, so a body can set up
+/// per-chunk state (an evaluator, a workspace) once for many indices.
+/// Every index lies in exactly one chunk. Runs `body(begin, end)` on the
+/// calling thread when the range is tiny or the pool has one worker.
+void parallel_for_chunks(
+    ThreadPool& pool, std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& body);
+
+/// parallel_for_chunks over the global pool.
+void parallel_for_chunks(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& body);
+
+/// Runs `body(i)` for every i in [begin, end), distributed over `pool`:
+/// each parallel_for_chunks chunk loops over its indices in order, so
+/// per-iteration overhead stays negligible even for micro-bodies.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 

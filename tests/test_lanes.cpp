@@ -271,9 +271,10 @@ std::vector<exec::TrialResult> serial_sim_trials(
       sim.sample_latencies(o.latency, rng);
       const auto r = wait_counts.empty()
                          ? sim.evaluate(x)
-                         : sim.evaluate_boosted(x, wait_counts);
+                         : sim.evaluate_boosted(x, wait_counts, o.policy);
       results[t].probes.push_back({r.output, r.completion_time, r.resets_sent});
     }
+    exec::finish_trial(trials[t], results[t]);
   }
   return results;
 }
@@ -447,6 +448,134 @@ TEST(LanePath, HoldLastTrialsRunProbeByProbe) {
   }
   exec::SimulatorBackend backend(net, options);
   expect_same_probes(backend.run_trials(trials), want);
+}
+
+TEST(LanePath, LaneDrawLeavesPinnedSerialLatencies) {
+  // Lane draws go straight to their lane row: a serial evaluate() after one
+  // still runs on the latencies set_latencies pinned.
+  const auto net = dense_net();
+  dist::NetworkSimulator sim(net, dist::SimConfig{});
+  std::vector<std::vector<double>> pinned;
+  for (std::size_t l = 1; l <= net.layer_count(); ++l) {
+    pinned.emplace_back(net.layer_width(l), 2.0 * double(l));
+  }
+  sim.set_latencies(pinned);
+  const std::vector<double> x(net.input_dim(), 0.5);
+  const double want = sim.evaluate(x).completion_time;
+  EXPECT_EQ(want, 2.0 + 4.0);  // layer 1 fires at 2, layer 2 two rounds on
+  Rng rng(53);
+  sim.sample_lane_latencies(kLanes - 1,
+                            {dist::LatencyKind::kUniform, 1.0, 4.0, 0.0}, rng);
+  EXPECT_EQ(bits(sim.evaluate(x).completion_time), bits(want));
+}
+
+// ------------------------------------------- evaluator reuse in run_trials
+
+/// 72 trials cycling through every plans_for plan (a perturbation-convention
+/// Byzantine one among them) and an empty plan, so on a 4-worker pool each
+/// parallel_for_chunks chunk runs several trials of different kinds on one
+/// reused evaluator, an empty trial right after a faulty one.
+std::vector<exec::Trial> interleaved_trials(const nn::FeedForwardNetwork& net,
+                                            std::size_t n, Rng& rng) {
+  const auto plans = plans_for(net);
+  std::vector<exec::Trial> trials;
+  for (std::size_t t = 0; t < 72; ++t) {
+    const std::size_t k = t % (plans.size() + 1);
+    trials.push_back(exec::make_trial(
+        net, k < plans.size() ? plans[k] : fault::FaultPlan{},
+        random_probes(n, net.input_dim(), rng)));
+  }
+  return trials;
+}
+
+void expect_same_trials(const std::vector<exec::TrialResult>& got,
+                        const std::vector<exec::TrialResult>& want) {
+  expect_same_probes(got, want);
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(bits(got[t].worst_error), bits(want[t].worst_error))
+        << "trial " << t;
+  }
+}
+
+/// Each trial run alone through a fresh backend made by `make`.
+template <class MakeBackend>
+std::vector<exec::TrialResult> one_backend_per_trial(
+    std::span<const exec::Trial> trials, MakeBackend&& make) {
+  std::vector<exec::TrialResult> results;
+  for (const exec::Trial& trial : trials) {
+    auto backend = make();
+    results.push_back(backend.run_trials({&trial, 1}).front());
+  }
+  return results;
+}
+
+TEST(LanePath, ReuseCarriesNothingInjectorBackend) {
+  for (const auto& net : {dense_net(), capped_sparse_net()}) {
+    Rng rng(43);
+    for (std::size_t n : {15, 16, 32, 40}) {
+      const auto trials = interleaved_trials(net, n, rng);
+      exec::InjectorBackend backend(net);
+      expect_same_trials(
+          backend.run_trials(trials),
+          one_backend_per_trial(
+              trials, [&] { return exec::InjectorBackend(net); }));
+    }
+  }
+}
+
+TEST(LanePath, ReuseCarriesNothingConstantLatencySimulator) {
+  // A draw-free model fills the lanes once per simulator; completion times
+  // must still read 1.5 per round, as the serial per-probe draws give.
+  for (const auto& net : {dense_net(), capped_sparse_net()}) {
+    exec::SimulatorBackendOptions options;
+    options.sim.capacity = 0.8;
+    options.latency = {dist::LatencyKind::kConstant, 1.5, 0.0, 0.0};
+    Rng rng(47);
+    for (std::size_t n : {15, 16, 32, 40}) {
+      const auto trials = interleaved_trials(net, n, rng);
+      exec::SimulatorBackend backend(net, options);
+      const auto got = backend.run_trials(trials);
+      expect_same_trials(got, serial_sim_trials(net, options, {}, trials));
+      expect_same_trials(
+          got, one_backend_per_trial(trials, [&] {
+            return exec::SimulatorBackend(net, options);
+          }));
+    }
+  }
+}
+
+TEST(LanePath, ReuseCarriesNothingHeavyTailCutSimulator) {
+  // Blocks of 20 leave padding lanes holding the previous trial's draws.
+  for (const auto& net : {dense_net(), capped_sparse_net()}) {
+    exec::SimulatorBackendOptions options;
+    options.latency = {dist::LatencyKind::kHeavyTail, 1.0, 50.0, 0.3};
+    options.straggler_cut = {1, 3};
+    options.latency_seed = 59;
+    const auto waits = dist::wait_counts_from_cut(net, options.straggler_cut);
+    Rng rng(61);
+    for (std::size_t n : {20, 40}) {
+      const auto trials = interleaved_trials(net, n, rng);
+      exec::SimulatorBackend backend(net, options);
+      expect_same_trials(backend.run_trials(trials),
+                         serial_sim_trials(net, options, waits, trials));
+    }
+  }
+}
+
+TEST(LanePath, ReuseCarriesNothingHoldLastSimulator) {
+  // Each trial starts with no history, even on a simulator whose previous
+  // trial (faulty or not) left one.
+  const auto net = dense_net();
+  exec::SimulatorBackendOptions options;
+  options.latency = {dist::LatencyKind::kHeavyTail, 1.0, 50.0, 0.3};
+  options.straggler_cut = {1, 2};
+  options.policy = dist::ResetPolicy::kHoldLast;
+  const auto waits = dist::wait_counts_from_cut(net, options.straggler_cut);
+  Rng rng(67);
+  const auto trials = interleaved_trials(net, 6, rng);
+  exec::SimulatorBackend backend(net, options);
+  expect_same_trials(backend.run_trials(trials),
+                     serial_sim_trials(net, options, waits, trials));
 }
 
 // ---------------------------------------------------- adversary pins

@@ -2,10 +2,14 @@
 // parallel helpers, statistics, tables, CSV, CLI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <utility>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -173,6 +177,49 @@ TEST(ParallelFor, OffsetRange) {
   std::atomic<long> sum{0};
   parallel_for(pool, 10, 20, [&](std::size_t i) { sum.fetch_add(long(i)); });
   EXPECT_EQ(sum.load(), 145);  // 10 + .. + 19
+}
+
+TEST(ParallelFor, ChunksCoverRangeOnceInContiguousPieces) {
+  ThreadPool pool(4);
+  std::mutex mutex;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  std::vector<std::atomic<int>> hits(103);
+  parallel_for_chunks(pool, 7, 110, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) hits[i - 7].fetch_add(1);
+    std::lock_guard lock(mutex);
+    chunks.emplace_back(lo, hi);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // Non-empty [lo, hi) pieces that tile the range end to end, at most four
+  // per worker, so a body can hold per-chunk state over several indices.
+  std::sort(chunks.begin(), chunks.end());
+  ASSERT_FALSE(chunks.empty());
+  EXPECT_LE(chunks.size(), 4 * pool.size());
+  EXPECT_EQ(chunks.front().first, 7u);
+  EXPECT_EQ(chunks.back().second, 110u);
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    EXPECT_LT(chunks[c].first, chunks[c].second);
+    if (c > 0) EXPECT_EQ(chunks[c - 1].second, chunks[c].first);
+  }
+}
+
+TEST(ParallelFor, ChunksRunSeriallyOnOneWorkerPool) {
+  ThreadPool pool(1);
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  std::vector<std::thread::id> threads;
+  parallel_for_chunks(pool, 3, 50, [&](std::size_t lo, std::size_t hi) {
+    chunks.emplace_back(lo, hi);
+    threads.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks.front(), std::make_pair(std::size_t{3}, std::size_t{50}));
+  EXPECT_EQ(threads.front(), std::this_thread::get_id());
+
+  bool touched = false;
+  parallel_for_chunks(pool, 5, 5, [&](std::size_t, std::size_t) {
+    touched = true;
+  });
+  EXPECT_FALSE(touched);
 }
 
 TEST(ParallelSum, MatchesSerialSum) {
